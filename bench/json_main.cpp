@@ -35,7 +35,10 @@ class CollectingReporter : public benchmark::ConsoleReporter {
       row.name = run.benchmark_name();
       const auto it = run.counters.find("items_per_second");
       if (it != run.counters.end()) row.items_per_second = it->second;
-      row.real_time_ns = run.GetAdjustedRealTime();
+      // GetAdjustedRealTime() is in the benchmark's own Unit() (ms for
+      // the partition benches); normalize so the field is always ns.
+      row.real_time_ns = run.GetAdjustedRealTime() * 1e9 /
+                         benchmark::GetTimeUnitMultiplier(run.time_unit);
       row.iterations = run.iterations;
       rows.push_back(std::move(row));
     }

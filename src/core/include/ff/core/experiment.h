@@ -113,16 +113,10 @@ struct ExperimentResult {
   SimTime duration{0};
   std::uint64_t events_executed{0};
   std::vector<DeviceResult> devices;
-  /// One entry per edge server (always at least one; single-server runs
-  /// land in servers[0], mirrored into the legacy fields below).
+  /// One entry per edge server (always at least one; a single-server run
+  /// lands in servers[0]).
   std::vector<ServerResult> servers;
   std::vector<TenantResult> tenants;
-  /// Legacy single-server view: servers[0], kept so existing callers and
-  /// figures read unchanged.
-  server::ServerStats server{};
-  // ff-lint: allow(fingerprint-exempt) legacy mirror of servers[0],
-  // which is already mixed in via ServerResult.
-  double server_gpu_utilization{0.0};
 
   /// Aggregate mean throughput across devices.
   [[nodiscard]] double total_mean_throughput() const;
@@ -153,12 +147,10 @@ class Experiment {
   /// Access to live objects between construction and run(), for tests and
   /// custom instrumentation. In a partitioned run (Scenario::partitions
   /// >= 1) this is partition 0 -- the server's partition.
-  [[nodiscard]] sim::Simulator& simulator() {
-    return psim_ ? psim_->partition(0) : *sim_;
-  }
+  [[nodiscard]] sim::Simulator& simulator() { return sim_for(0); }
 
-  /// The partitioned driver, or nullptr on the legacy single-simulator
-  /// path.
+  /// The partitioned driver, or nullptr when Scenario::partitions == 0
+  /// (the serial kernel).
   [[nodiscard]] sim::PartitionedSimulator* partitioned_simulator() {
     return psim_.get();
   }
@@ -190,8 +182,8 @@ class Experiment {
  private:
   struct DeviceRig {
     std::size_t index{0};
-    /// The simulator this rig's entities execute on: the shared one in a
-    /// plain run, the device's partition in a partitioned run.
+    /// The simulator this rig's entities execute on: the one simulator on
+    /// the serial kernel, the device's partition on the partitioned one.
     sim::Simulator* sim{nullptr};
     /// One NetworkedOffloadTransport path per server behind the fleet
     /// selector; the M = 1 case is pass-through.
@@ -199,7 +191,7 @@ class Experiment {
     std::unique_ptr<device::EdgeDevice> device;
     std::unique_ptr<control::Controller> controller;
     std::unique_ptr<sim::PeriodicTimer> control_timer;
-    /// Per-rig sampler (partitioned runs only): sampling must happen on
+    /// Per-rig sampler (partitioned kernel only): sampling must happen on
     /// the rig's own partition, and one timer per rig keeps the event
     /// count independent of the partition count.
     std::unique_ptr<sim::PeriodicTimer> sample_timer;
@@ -210,12 +202,21 @@ class Experiment {
     std::uint64_t admission_rejections_seen{0};
   };
 
+  /// The simulator entities on `partition` execute on: partition
+  /// `partition` of the partitioned kernel, or the serial kernel's one
+  /// simulator whatever the argument.
+  [[nodiscard]] sim::Simulator& sim_for(std::size_t partition) {
+    return psim_ ? psim_->partition(partition) : *sim_;
+  }
   void resolve_topology();
   [[nodiscard]] NetworkedTransportConfig path_config(
       std::size_t device_index, const device::DeviceConfig& dconf,
       std::size_t server_index) const;
+  /// Wires the fleet onto the kernel Scenario::partitions selects. Both
+  /// kernels share one construction order; they differ only in the
+  /// lookahead-floor check, boundary binding with per-link netem (against
+  /// bulk netem), and per-rig samplers (against the global sampler).
   void build();
-  void build_partitioned();
   void control_tick(DeviceRig& rig);
   void maybe_rehome(DeviceRig& rig);
   void sample_tick();
@@ -236,6 +237,7 @@ class Experiment {
   /// Shared uplink media ("APs"); device i contends on medium i % size().
   std::vector<std::unique_ptr<net::SharedMedium>> uplink_media_;
   std::vector<std::unique_ptr<DeviceRig>> rigs_;
+  /// Global sampler (serial kernel only); see DeviceRig::sample_timer.
   std::unique_ptr<sim::PeriodicTimer> sample_timer_;
   /// Wraps the user's sink when partitioned workers emit concurrently.
   std::unique_ptr<obs::SynchronizedTraceSink> synced_sink_;

@@ -111,20 +111,55 @@ NetworkedTransportConfig Experiment::path_config(
 
 void Experiment::build() {
   resolve_topology();
-  if (scenario_.partitions > 0) {
-    build_partitioned();
-    return;
+  // The kernel choice: K = 0 runs everything on one simulator; K >= 1
+  // places each entity on a partition. Only three steps below differ by
+  // kernel, each a named branch on `partitioned`: the lookahead floor,
+  // boundary binding with per-link netem (against bulk netem), and
+  // per-rig samplers (against the one global sampler).
+  const bool partitioned = scenario_.partitions > 0;
+  SimDuration floor = 0;
+  if (partitioned) {
+    sim::PartitionedSimulator::Options opts;
+    opts.partitions = scenario_.partitions;
+    opts.threads = scenario_.partition_threads;
+    psim_ = std::make_unique<sim::PartitionedSimulator>(scenario_.seed, opts);
+
+    // Lookahead floor: no delivery crosses a link faster than the minimum
+    // propagation delay the run can ever configure -- the netem schedule's
+    // floor folded with the link templates' initial conditions.
+    floor = scenario_.network.min_propagation_delay();
+    floor =
+        std::min(floor, scenario_.uplink_template.initial.propagation_delay);
+    floor = std::min(floor,
+                     scenario_.downlink_template.initial.propagation_delay);
+    if (floor <= 0) {
+      throw std::invalid_argument(
+          "Experiment: partitioned execution requires a strictly positive "
+          "propagation delay on every link and netem phase (the "
+          "conservative lookahead); this scenario's minimum is zero");
+    }
+  } else {
+    sim_ = std::make_unique<sim::Simulator>(scenario_.seed);
   }
-  sim_ = std::make_unique<sim::Simulator>(scenario_.seed);
-  for (const ServerSpec& spec : specs_) {
+  const std::size_t parts = partitioned ? psim_->partition_count() : 1;
+
+  // Server s lives on partition s % K (s = 0 on partition 0, preserving
+  // the single-server mapping): its EdgeServer, background load, and
+  // every reverse link it transmits on.
+  for (std::size_t s = 0; s < specs_.size(); ++s) {
+    const ServerSpec& spec = specs_[s];
+    sim::Simulator& server_sim = sim_for(s % parts);
     servers_.push_back(
-        std::make_unique<server::EdgeServer>(*sim_, spec.config));
+        std::make_unique<server::EdgeServer>(server_sim, spec.config));
     if (!spec.background_load.empty()) {
       loads_.push_back(std::make_unique<server::LoadGenerator>(
-          *sim_, *servers_.back(), spec.background_load, spec.background));
+          server_sim, *servers_.back(), spec.background_load,
+          spec.background));
     }
   }
 
+  // A shared medium is one contention domain: all its links must live on
+  // one simulator, so devices of one medium group are co-partitioned.
   if (scenario_.shared_uplink_medium) {
     const std::size_t groups =
         std::max<std::size_t>(scenario_.uplink_medium_groups, 1);
@@ -139,128 +174,40 @@ void Experiment::build() {
     const auto& dconf = scenario_.devices[i];
     auto rig = std::make_unique<DeviceRig>();
     rig->index = i;
-    rig->sim = sim_.get();
-
-    rig->transport = std::make_unique<FleetOffloadTransport>();
-    for (std::size_t s = 0; s < servers_.size(); ++s) {
-      auto path = std::make_unique<NetworkedOffloadTransport>(
-          *sim_, *servers_[s], path_config(i, dconf, s));
-      for (net::Link* link : path->path().links()) {
-        shaped_links.push_back(link);
-      }
-      if (!uplink_media_.empty()) {
-        // The AP is on the device side: every server path of this device
-        // contends on the device group's medium.
-        path->path().forward_link().attach_medium(
-            uplink_media_[i % uplink_media_.size()].get());
-      }
-      rig->transport->add_path(std::move(path));
-    }
-    rig->transport->set_active(assignments_[i]);
-    rig->initial_server = assignments_[i];
-
-    rig->device =
-        std::make_unique<device::EdgeDevice>(*sim_, *rig->transport, dconf);
-    rig->controller = factory_(i);
-    if (!rig->controller) {
-      throw std::invalid_argument(
-          "Experiment: controller factory returned null");
-    }
-
-    DeviceRig* raw = rig.get();
-    rig->control_timer = std::make_unique<sim::PeriodicTimer>(
-        *sim_, [this, raw](std::uint64_t) { control_tick(*raw); });
-    rigs_.push_back(std::move(rig));
-  }
-
-  scenario_.network.apply(*sim_, std::move(shaped_links));
-
-  sample_timer_ = std::make_unique<sim::PeriodicTimer>(
-      *sim_, [this](std::uint64_t) { sample_tick(); });
-}
-
-void Experiment::build_partitioned() {
-  sim::PartitionedSimulator::Options opts;
-  opts.partitions = scenario_.partitions;
-  opts.threads = scenario_.partition_threads;
-  psim_ = std::make_unique<sim::PartitionedSimulator>(scenario_.seed, opts);
-  const std::size_t parts = psim_->partition_count();
-
-  // Lookahead floor: no delivery crosses a link faster than the minimum
-  // propagation delay the run can ever configure -- the netem schedule's
-  // floor folded with the link templates' initial conditions.
-  SimDuration floor = scenario_.network.min_propagation_delay();
-  floor = std::min(floor, scenario_.uplink_template.initial.propagation_delay);
-  floor =
-      std::min(floor, scenario_.downlink_template.initial.propagation_delay);
-  if (floor <= 0) {
-    throw std::invalid_argument(
-        "Experiment: partitioned execution requires a strictly positive "
-        "propagation delay on every link and netem phase (the conservative "
-        "lookahead); this scenario's minimum is zero");
-  }
-
-  // Server s lives on partition s % K (s = 0 on partition 0, preserving
-  // the legacy single-server mapping): its EdgeServer, background load,
-  // and every reverse link it transmits on.
-  std::vector<sim::Simulator*> server_sims;
-  for (std::size_t s = 0; s < specs_.size(); ++s) {
-    const ServerSpec& spec = specs_[s];
-    sim::Simulator& server_sim = psim_->partition(s % parts);
-    server_sims.push_back(&server_sim);
-    servers_.push_back(
-        std::make_unique<server::EdgeServer>(server_sim, spec.config));
-    if (!spec.background_load.empty()) {
-      loads_.push_back(std::make_unique<server::LoadGenerator>(
-          server_sim, *servers_.back(), spec.background_load,
-          spec.background));
-    }
-  }
-
-  // A shared medium is one contention domain: all its links must live on
-  // one simulator, so devices of one medium group are co-partitioned.
-  const std::size_t groups =
-      scenario_.shared_uplink_medium
-          ? std::max<std::size_t>(scenario_.uplink_medium_groups, 1)
-          : 0;
-  if (scenario_.shared_uplink_medium) {
-    for (std::size_t g = 0; g < groups; ++g) {
-      uplink_media_.push_back(std::make_unique<net::SharedMedium>(
-          groups == 1 ? "uplink-ap" : "uplink-ap-" + std::to_string(g)));
-    }
-  }
-
-  for (std::size_t i = 0; i < scenario_.devices.size(); ++i) {
-    const auto& dconf = scenario_.devices[i];
-    auto rig = std::make_unique<DeviceRig>();
-    rig->index = i;
-    const std::size_t group = scenario_.shared_uplink_medium ? i % groups : i;
+    const std::size_t group =
+        uplink_media_.empty() ? i : i % uplink_media_.size();
     const std::size_t part = group % parts;
-    sim::Simulator& dev_sim = psim_->partition(part);
+    sim::Simulator& dev_sim = sim_for(part);
     rig->sim = &dev_sim;
 
     rig->transport = std::make_unique<FleetOffloadTransport>();
     for (std::size_t s = 0; s < servers_.size(); ++s) {
       const std::size_t server_part = s % parts;
       auto path = std::make_unique<NetworkedOffloadTransport>(
-          dev_sim, *server_sims[s], *servers_[s], path_config(i, dconf, s));
-
-      // Each link crosses from its sender's partition to the receiver's;
-      // self-edges (device co-partitioned with the server) still route
-      // through the mailbox so the delivery order contract is identical
-      // at every K.
+          dev_sim, sim_for(server_part), *servers_[s],
+          path_config(i, dconf, s));
       net::Link& fwd = path->path().forward_link();
       net::Link& rev = path->path().reverse_link();
-      fwd.bind_boundary(&psim_->add_edge(part, server_part, floor));
-      rev.bind_boundary(&psim_->add_edge(server_part, part, floor));
+      if (partitioned) {
+        // Each link crosses from its sender's partition to the receiver's;
+        // self-edges (device co-partitioned with the server) still route
+        // through the mailbox so the delivery order contract is identical
+        // at every K.
+        fwd.bind_boundary(&psim_->add_edge(part, server_part, floor));
+        rev.bind_boundary(&psim_->add_edge(server_part, part, floor));
 
-      // Netem is applied per link on the link's home simulator: phase
-      // changes are sender-side state, and one event per (phase, link)
-      // keeps the event count independent of the partition count.
-      scenario_.network.apply(fwd.simulator(), {&fwd});
-      scenario_.network.apply(rev.simulator(), {&rev});
-
+        // Netem is applied per link on the link's home simulator: phase
+        // changes are sender-side state, and one event per (phase, link)
+        // keeps the event count independent of the partition count.
+        scenario_.network.apply(fwd.simulator(), {&fwd});
+        scenario_.network.apply(rev.simulator(), {&rev});
+      } else {
+        shaped_links.push_back(&fwd);
+        shaped_links.push_back(&rev);
+      }
       if (!uplink_media_.empty()) {
+        // The AP is on the device side: every server path of this device
+        // contends on the device group's medium.
         fwd.attach_medium(uplink_media_[group].get());
       }
       rig->transport->add_path(std::move(path));
@@ -279,9 +226,17 @@ void Experiment::build_partitioned() {
     DeviceRig* raw = rig.get();
     rig->control_timer = std::make_unique<sim::PeriodicTimer>(
         dev_sim, [this, raw](std::uint64_t) { control_tick(*raw); });
-    rig->sample_timer = std::make_unique<sim::PeriodicTimer>(
-        dev_sim, [this, raw](std::uint64_t) { sample_rig(*raw); });
+    if (partitioned) {
+      rig->sample_timer = std::make_unique<sim::PeriodicTimer>(
+          dev_sim, [this, raw](std::uint64_t) { sample_rig(*raw); });
+    }
     rigs_.push_back(std::move(rig));
+  }
+
+  if (!partitioned) {
+    scenario_.network.apply(*sim_, std::move(shaped_links));
+    sample_timer_ = std::make_unique<sim::PeriodicTimer>(
+        *sim_, [this](std::uint64_t) { sample_tick(); });
   }
 }
 
@@ -423,8 +378,6 @@ ExperimentResult Experiment::run() {
     sr.in_flight_batch_at_end = servers_[s]->in_flight_batch();
     result.servers.push_back(std::move(sr));
   }
-  result.server = result.servers.front().stats;
-  result.server_gpu_utilization = result.servers.front().gpu_utilization;
 
   for (auto& rig : rigs_) {
     DeviceResult d;

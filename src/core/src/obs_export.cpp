@@ -77,23 +77,26 @@ void export_metrics(const ExperimentResult& result,
   registry.gauge("run.total_mean_throughput_fps", run)
       .set(result.total_mean_throughput());
 
-  registry.counter("server.requests_received", run)
-      .add(static_cast<double>(result.server.requests_received));
-  registry.counter("server.requests_completed", run)
-      .add(static_cast<double>(result.server.requests_completed));
-  registry.counter("server.requests_rejected", run)
-      .add(static_cast<double>(result.server.requests_rejected));
-  registry.counter("server.requests_admission_rejected", run)
-      .add(static_cast<double>(result.server.requests_admission_rejected));
-  registry.counter("server.batches_executed", run)
-      .add(static_cast<double>(result.server.batches_executed));
-  registry.gauge("server.mean_batch_size", run)
-      .set(result.server.mean_batch_size());
-  registry.gauge("server.gpu_utilization", run)
-      .set(result.server_gpu_utilization);
-  if (result.server.service_latency_us.count() > 0) {
-    registry.gauge("server.service_latency_us_mean", run)
-        .set(result.server.service_latency_us.mean());
+  // The single-server aggregate: servers[0].
+  if (!result.servers.empty()) {
+    const ServerResult& front = result.servers.front();
+    registry.counter("server.requests_received", run)
+        .add(static_cast<double>(front.stats.requests_received));
+    registry.counter("server.requests_completed", run)
+        .add(static_cast<double>(front.stats.requests_completed));
+    registry.counter("server.requests_rejected", run)
+        .add(static_cast<double>(front.stats.requests_rejected));
+    registry.counter("server.requests_admission_rejected", run)
+        .add(static_cast<double>(front.stats.requests_admission_rejected));
+    registry.counter("server.batches_executed", run)
+        .add(static_cast<double>(front.stats.batches_executed));
+    registry.gauge("server.mean_batch_size", run)
+        .set(front.stats.mean_batch_size());
+    registry.gauge("server.gpu_utilization", run).set(front.gpu_utilization);
+    if (front.stats.service_latency_us.count() > 0) {
+      registry.gauge("server.service_latency_us_mean", run)
+          .set(front.stats.service_latency_us.mean());
+    }
   }
 
   // Fleet runs: per-server and per-tenant breakdowns (the single-server

@@ -28,6 +28,10 @@ class Config {
   [[nodiscard]] bool has(const std::string& key) const;
   [[nodiscard]] std::optional<std::string> get(const std::string& key) const;
 
+  /// Typed getters return `fallback` when the key is absent. A value that
+  /// does not parse as the type -- including trailing characters such as
+  /// "3x" -- throws std::invalid_argument naming the key and the value.
+  /// Booleans accept 1/0, true/false, yes/no, on/off (any case).
   [[nodiscard]] std::string get_string(const std::string& key,
                                        const std::string& fallback) const;
   [[nodiscard]] double get_double(const std::string& key,

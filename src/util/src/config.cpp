@@ -15,6 +15,28 @@ namespace {
   return s.substr(begin, end - begin + 1);
 }
 
+[[noreturn]] void throw_unparsed(const std::string& key,
+                                 const std::string& value, const char* type) {
+  throw std::invalid_argument("Config: " + key + "=" + value +
+                              " is not a valid " + type);
+}
+
+/// Parses all of `value` with a std::sto* function; a value that does not
+/// parse, is out of range, or has trailing characters ("3x") throws.
+template <class Parse>
+[[nodiscard]] auto parse_whole(const std::string& key,
+                               const std::string& value, const char* type,
+                               Parse parse) {
+  std::size_t used = 0;
+  try {
+    const auto out = parse(value, &used);
+    if (used == value.size()) return out;
+  } catch (const std::logic_error&) {
+    // std::invalid_argument / std::out_of_range: reported below.
+  }
+  throw_unparsed(key, value, type);
+}
+
 }  // namespace
 
 Config Config::from_args(int argc, const char* const* argv,
@@ -79,22 +101,20 @@ std::string Config::get_string(const std::string& key,
 double Config::get_double(const std::string& key, double fallback) const {
   const auto v = get(key);
   if (!v) return fallback;
-  try {
-    return std::stod(*v);
-  } catch (const std::exception&) {
-    return fallback;
-  }
+  return parse_whole(key, *v, "number",
+                     [](const std::string& s, std::size_t* used) {
+                       return std::stod(s, used);
+                     });
 }
 
 std::int64_t Config::get_int(const std::string& key,
                              std::int64_t fallback) const {
   const auto v = get(key);
   if (!v) return fallback;
-  try {
-    return std::stoll(*v);
-  } catch (const std::exception&) {
-    return fallback;
-  }
+  return parse_whole(key, *v, "integer",
+                     [](const std::string& s, std::size_t* used) {
+                       return std::stoll(s, used);
+                     });
 }
 
 bool Config::get_bool(const std::string& key, bool fallback) const {
@@ -107,7 +127,7 @@ bool Config::get_bool(const std::string& key, bool fallback) const {
                  });
   if (s == "1" || s == "true" || s == "yes" || s == "on") return true;
   if (s == "0" || s == "false" || s == "no" || s == "off") return false;
-  return fallback;
+  throw_unparsed(key, *v, "boolean");
 }
 
 }  // namespace ff

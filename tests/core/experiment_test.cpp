@@ -90,7 +90,7 @@ TEST(Experiment, LocalOnlyNeverOffloads) {
       small_scenario(),
       make_controller_factory<control::LocalOnlyController>());
   EXPECT_EQ(r.devices[0].totals.offload_attempts, 0u);
-  EXPECT_EQ(r.server.requests_received, 0u);
+  EXPECT_EQ(r.servers.front().stats.requests_received, 0u);
   EXPECT_NEAR(r.devices[0].mean_throughput(), 13.0, 1.0);
 }
 
@@ -210,10 +210,10 @@ TEST(Experiment, ServerStatsPopulated) {
   const auto r = run_experiment(
       small_scenario(),
       make_controller_factory<control::AlwaysOffloadController>());
-  EXPECT_GT(r.server.requests_received, 300u);
-  EXPECT_GT(r.server.batches_executed, 0u);
-  EXPECT_GT(r.server_gpu_utilization, 0.0);
-  EXPECT_LE(r.server_gpu_utilization, 1.0);
+  EXPECT_GT(r.servers.front().stats.requests_received, 300u);
+  EXPECT_GT(r.servers.front().stats.batches_executed, 0u);
+  EXPECT_GT(r.servers.front().gpu_utilization, 0.0);
+  EXPECT_LE(r.servers.front().gpu_utilization, 1.0);
 }
 
 TEST(Experiment, TotalMeanThroughputSumsDevices) {

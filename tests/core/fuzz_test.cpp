@@ -110,9 +110,10 @@ TEST_P(FuzzSweep, InvariantsSurviveChaos) {
   }
 
   // Server conservation.
-  EXPECT_LE(r.server.requests_completed + r.server.requests_rejected,
-            r.server.requests_received);
-  EXPECT_LE(r.server.batch_size.max(), 15.0);
+  const server::ServerStats& srv = r.servers.front().stats;
+  EXPECT_LE(srv.requests_completed + srv.requests_rejected,
+            srv.requests_received);
+  EXPECT_LE(srv.batch_size.max(), 15.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSweep,

@@ -93,7 +93,7 @@ TEST(Integration, ServerOverloadProducesLoadTimeouts) {
       s, make_controller_factory<control::AlwaysOffloadController>());
   const auto& t = always.devices[0].totals;
   EXPECT_GT(t.timeouts_load, 20u);  // rejections at batch formation
-  EXPECT_GT(always.server.requests_rejected, 500u);
+  EXPECT_GT(always.servers.front().stats.requests_rejected, 500u);
 }
 
 TEST(Integration, FrameFeedbackBacksOffUnderServerLoad) {
@@ -139,12 +139,12 @@ TEST(Integration, MultiTenantDevicesShareServer) {
       s, make_controller_factory<control::AlwaysOffloadController>());
   ASSERT_EQ(r.devices.size(), 3u);
   // All three fully offload through the same server.
-  EXPECT_GT(r.server.requests_received, 2500u);
+  EXPECT_GT(r.servers.front().stats.requests_received, 2500u);
   for (const auto& d : r.devices) {
     EXPECT_GT(d.totals.offload_successes, 800u) << d.name;
   }
   // Batching kicked in: mean batch above 1.
-  EXPECT_GT(r.server.mean_batch_size(), 1.5);
+  EXPECT_GT(r.servers.front().stats.mean_batch_size(), 1.5);
 }
 
 TEST(Integration, HeartbeatProbesAreIssuedByIntervalController) {

@@ -143,12 +143,13 @@ TEST_P(ServerInvariantSweep, BatchAndConservation) {
   s.background_load = server::LoadSchedule::constant(Rate{GetParam()});
   const auto r = run_experiment(
       s, make_controller_factory<control::AlwaysOffloadController>());
-  EXPECT_LE(r.server.batch_size.max(), 15.0);
-  EXPECT_LE(r.server.requests_completed + r.server.requests_rejected,
-            r.server.requests_received);
+  const server::ServerStats& srv = r.servers.front().stats;
+  EXPECT_LE(srv.batch_size.max(), 15.0);
+  EXPECT_LE(srv.requests_completed + srv.requests_rejected,
+            srv.requests_received);
   // In-progress tail bounded by one batch + queue.
-  EXPECT_LE(r.server.requests_received -
-                (r.server.requests_completed + r.server.requests_rejected),
+  EXPECT_LE(srv.requests_received -
+                (srv.requests_completed + srv.requests_rejected),
             40u);
 }
 

@@ -100,7 +100,7 @@ TEST(FrameTracer, DeviceLifecycleEndToEnd) {
   dc.source_fps = 30.0;
   EdgeDevice dev(sim, transport, dc);
   FrameTracer tracer;
-  dev.attach_tracer(&tracer);
+  dev.attach_trace_sink(&tracer);
   dev.set_offload_rate(15.0);
   dev.start();
   sim.run_until(5 * kSecond);
@@ -138,12 +138,12 @@ TEST(FrameTracer, DetachStopsRecording) {
   DeviceConfig dc;
   EdgeDevice dev(sim, transport, dc);
   FrameTracer tracer;
-  dev.attach_tracer(&tracer);
+  dev.attach_trace_sink(&tracer);
   dev.start();
   sim.run_until(kSecond);
   const auto before = tracer.total_recorded();
   EXPECT_GT(before, 0u);
-  dev.attach_tracer(nullptr);
+  dev.attach_trace_sink(nullptr);
   sim.run_until(2 * kSecond);
   EXPECT_EQ(tracer.total_recorded(), before);
 }

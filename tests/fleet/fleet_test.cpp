@@ -102,9 +102,6 @@ TEST(Fleet, WorkSpreadsAcrossServersAndConserves) {
     EXPECT_GT(sr.stats.requests_received, 0u) << sr.name;
     EXPECT_TRUE(sr.conserved()) << sr.name;
   }
-  // Legacy mirror fields expose servers[0].
-  EXPECT_EQ(r.server.requests_received,
-            r.servers[0].stats.requests_received);
 }
 
 /// Admission rejections surface as typed responses and trigger

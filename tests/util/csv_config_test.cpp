@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "ff/util/config.h"
 #include "ff/util/csv.h"
@@ -84,9 +86,29 @@ TEST(Config, ParsesKeyValueArgs) {
 TEST(Config, FallbacksWhenMissingOrInvalid) {
   const char* argv[] = {"prog", "x=notanumber"};
   const Config c = Config::from_args(2, argv);
-  EXPECT_EQ(c.get_double("x", 7.0), 7.0);
+  // A value that does not parse fails loudly instead of falling back.
+  EXPECT_THROW((void)c.get_double("x", 7.0), std::invalid_argument);
+  EXPECT_THROW((void)c.get_int("x", 7), std::invalid_argument);
+  EXPECT_EQ(c.get_double("missing", 7.0), 7.0);
   EXPECT_EQ(c.get_int("missing", 3), 3);
   EXPECT_EQ(c.get_string("missing", "d"), "d");
+}
+
+TEST(Config, TrailingCharactersThrowNamingKeyAndValue) {
+  const char* argv[] = {"prog", "n=3x", "d=2.5s", "i=1.5", "e=", "ok=-4"};
+  const Config c = Config::from_args(6, argv);
+  try {
+    (void)c.get_int("n", 0);
+    FAIL() << "get_int accepted 3x";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("n=3x"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW((void)c.get_double("d", 0.0), std::invalid_argument);
+  EXPECT_THROW((void)c.get_int("i", 0), std::invalid_argument);
+  EXPECT_THROW((void)c.get_double("e", 0.0), std::invalid_argument);
+  EXPECT_EQ(c.get_int("ok", 0), -4);
+  EXPECT_EQ(c.get_double("i", 0.0), 1.5);
 }
 
 TEST(Config, BoolParsing) {
@@ -96,7 +118,7 @@ TEST(Config, BoolParsing) {
   EXPECT_FALSE(c.get_bool("b", true));
   EXPECT_TRUE(c.get_bool("c", false));
   EXPECT_FALSE(c.get_bool("d", true));
-  EXPECT_TRUE(c.get_bool("e", true));  // unparseable -> fallback
+  EXPECT_THROW((void)c.get_bool("e", true), std::invalid_argument);
 }
 
 TEST(Config, FromFileWithCommentsAndWhitespace) {
