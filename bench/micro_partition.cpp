@@ -1,8 +1,10 @@
-// Micro-benchmarks for the partitioned DES kernel (ROADMAP item 2): the
-// same multi-device experiment executed at K = 1, 2, 4, 8 partitions,
-// with events/s as the headline. The scaling claim this backs: >= 2x
-// events/s at K=4 over K=1. A synthetic kernel-only benchmark isolates
-// window/barrier overhead from experiment entity costs.
+// Micro-benchmarks for the partitioned DES kernel: the same multi-device
+// experiment executed at K = 0 (direct link scheduling on one partition)
+// and K = 1, 2, 4, 8 partitions, with events/s as the headline. The
+// scaling claim this backs: >= 2x events/s at K=4 over K=1; K=1 over K=0
+// is the cost of routing every link through a boundary edge. A synthetic
+// kernel-only benchmark isolates window/barrier overhead from experiment
+// entity costs.
 
 #include <benchmark/benchmark.h>
 
@@ -54,6 +56,7 @@ void BM_PartitionedExperiment(benchmark::State& state) {
   state.counters["partitions"] = static_cast<double>(partitions);
 }
 BENCHMARK(BM_PartitionedExperiment)
+    ->Arg(0)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)

@@ -145,14 +145,14 @@ class Experiment {
   void set_trace_sink(obs::TraceSink* sink);
 
   /// Access to live objects between construction and run(), for tests and
-  /// custom instrumentation. In a partitioned run (Scenario::partitions
-  /// >= 1) this is partition 0 -- the server's partition.
-  [[nodiscard]] sim::Simulator& simulator() { return sim_for(0); }
+  /// custom instrumentation: partition 0, the server's partition (the only
+  /// one when Scenario::partitions <= 1).
+  [[nodiscard]] sim::Simulator& simulator() { return psim_.partition(0); }
 
-  /// The partitioned driver, or nullptr when Scenario::partitions == 0
-  /// (the serial kernel).
+  /// The kernel driver; never null. Scenario::partitions == 0 runs it with
+  /// one partition and no boundary edges.
   [[nodiscard]] sim::PartitionedSimulator* partitioned_simulator() {
-    return psim_.get();
+    return &psim_;
   }
   [[nodiscard]] server::EdgeServer& server() { return *servers_.at(0); }
   [[nodiscard]] server::EdgeServer& server(std::size_t s) {
@@ -182,18 +182,16 @@ class Experiment {
  private:
   struct DeviceRig {
     std::size_t index{0};
-    /// The simulator this rig's entities execute on: the one simulator on
-    /// the serial kernel, the device's partition on the partitioned one.
-    sim::Simulator* sim{nullptr};
+    /// The partition this rig's entities execute on.
+    std::size_t partition{0};
     /// One NetworkedOffloadTransport path per server behind the fleet
     /// selector; the M = 1 case is pass-through.
     std::unique_ptr<FleetOffloadTransport> transport;
     std::unique_ptr<device::EdgeDevice> device;
     std::unique_ptr<control::Controller> controller;
     std::unique_ptr<sim::PeriodicTimer> control_timer;
-    /// Per-rig sampler (partitioned kernel only): sampling must happen on
-    /// the rig's own partition, and one timer per rig keeps the event
-    /// count independent of the partition count.
+    /// Samples this rig's series on its own partition; one timer per rig
+    /// keeps the event count independent of the partition count.
     std::unique_ptr<sim::PeriodicTimer> sample_timer;
     SeriesBundle series;
     models::EnergyMeter energy;
@@ -202,30 +200,21 @@ class Experiment {
     std::uint64_t admission_rejections_seen{0};
   };
 
-  /// The simulator entities on `partition` execute on: partition
-  /// `partition` of the partitioned kernel, or the serial kernel's one
-  /// simulator whatever the argument.
-  [[nodiscard]] sim::Simulator& sim_for(std::size_t partition) {
-    return psim_ ? psim_->partition(partition) : *sim_;
-  }
   void resolve_topology();
   [[nodiscard]] NetworkedTransportConfig path_config(
       std::size_t device_index, const device::DeviceConfig& dconf,
       std::size_t server_index) const;
-  /// Wires the fleet onto the kernel Scenario::partitions selects. Both
-  /// kernels share one construction order; they differ only in the
-  /// lookahead-floor check, boundary binding with per-link netem (against
-  /// bulk netem), and per-rig samplers (against the global sampler).
+  /// Wires the fleet onto the kernel's partitions. Only K >= 1 checks the
+  /// lookahead floor and binds links to boundary edges, after all entities
+  /// exist; K = 0 schedules link deliveries directly on its one partition.
   void build();
   void control_tick(DeviceRig& rig);
   void maybe_rehome(DeviceRig& rig);
-  void sample_tick();
   void sample_rig(DeviceRig& rig);
 
   Scenario scenario_;
   ControllerFactory factory_;
-  std::unique_ptr<sim::Simulator> sim_;
-  std::unique_ptr<sim::PartitionedSimulator> psim_;
+  sim::PartitionedSimulator psim_;
   /// Effective topology: Scenario::fleet, or one spec synthesized from
   /// the legacy single-server fields.
   std::vector<ServerSpec> specs_;
@@ -237,9 +226,7 @@ class Experiment {
   /// Shared uplink media ("APs"); device i contends on medium i % size().
   std::vector<std::unique_ptr<net::SharedMedium>> uplink_media_;
   std::vector<std::unique_ptr<DeviceRig>> rigs_;
-  /// Global sampler (serial kernel only); see DeviceRig::sample_timer.
-  std::unique_ptr<sim::PeriodicTimer> sample_timer_;
-  /// Wraps the user's sink when partitioned workers emit concurrently.
+  /// Wraps the user's sink when several workers emit concurrently.
   std::unique_ptr<obs::SynchronizedTraceSink> synced_sink_;
   obs::TraceSink* trace_sink_{nullptr};
   bool ran_{false};

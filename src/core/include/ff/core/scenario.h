@@ -39,13 +39,14 @@ struct Scenario {
   /// contention domains to parallelize.
   std::size_t uplink_medium_groups{1};
 
-  /// Parallel partitioned execution (sim::PartitionedSimulator). 0 runs
-  /// the legacy single-simulator path. K >= 1 shards the entity graph
-  /// into K partitions (server plus per-device-group shards) advanced in
-  /// conservative time windows; results are bit-identical for every
-  /// K >= 1 and every thread count, but differ from the K = 0 path in
-  /// event bookkeeping (per-rig samplers, per-link netem), so compare
-  /// fingerprints within one mode only.
+  /// Partitions of the sim::PartitionedSimulator the run executes on.
+  /// K >= 1 shards the entity graph into K partitions (server plus
+  /// per-device-group shards) advanced in conservative time windows, with
+  /// every link delivery routed through a boundary edge; results are
+  /// bit-identical for every K >= 1 and every thread count. 0 runs one
+  /// partition and schedules link deliveries directly, so a delivery that
+  /// ties with another event at the same timestamp may run in a different
+  /// order than at K >= 1; compare fingerprints within one mode only.
   std::size_t partitions{0};
   /// Worker threads for partitioned windows: 0 = one per partition
   /// (hardware-capped), 1 = serial. No effect on results.

@@ -32,7 +32,11 @@ double ExperimentResult::total_mean_throughput() const {
 }
 
 Experiment::Experiment(Scenario scenario, ControllerFactory controllers)
-    : scenario_(std::move(scenario)), factory_(std::move(controllers)) {
+    : scenario_(std::move(scenario)),
+      factory_(std::move(controllers)),
+      // K = 0 runs on one partition, like K = 1 (see build()).
+      psim_(scenario_.seed, {std::max<std::size_t>(scenario_.partitions, 1),
+                             scenario_.partition_threads}) {
   if (scenario_.devices.empty()) {
     throw std::invalid_argument("Experiment: scenario has no devices");
   }
@@ -111,44 +115,14 @@ NetworkedTransportConfig Experiment::path_config(
 
 void Experiment::build() {
   resolve_topology();
-  // The kernel choice: K = 0 runs everything on one simulator; K >= 1
-  // places each entity on a partition. Only three steps below differ by
-  // kernel, each a named branch on `partitioned`: the lookahead floor,
-  // boundary binding with per-link netem (against bulk netem), and
-  // per-rig samplers (against the one global sampler).
-  const bool partitioned = scenario_.partitions > 0;
-  SimDuration floor = 0;
-  if (partitioned) {
-    sim::PartitionedSimulator::Options opts;
-    opts.partitions = scenario_.partitions;
-    opts.threads = scenario_.partition_threads;
-    psim_ = std::make_unique<sim::PartitionedSimulator>(scenario_.seed, opts);
-
-    // Lookahead floor: no delivery crosses a link faster than the minimum
-    // propagation delay the run can ever configure -- the netem schedule's
-    // floor folded with the link templates' initial conditions.
-    floor = scenario_.network.min_propagation_delay();
-    floor =
-        std::min(floor, scenario_.uplink_template.initial.propagation_delay);
-    floor = std::min(floor,
-                     scenario_.downlink_template.initial.propagation_delay);
-    if (floor <= 0) {
-      throw std::invalid_argument(
-          "Experiment: partitioned execution requires a strictly positive "
-          "propagation delay on every link and netem phase (the "
-          "conservative lookahead); this scenario's minimum is zero");
-    }
-  } else {
-    sim_ = std::make_unique<sim::Simulator>(scenario_.seed);
-  }
-  const std::size_t parts = partitioned ? psim_->partition_count() : 1;
+  const std::size_t parts = psim_.partition_count();
 
   // Server s lives on partition s % K (s = 0 on partition 0, preserving
   // the single-server mapping): its EdgeServer, background load, and
   // every reverse link it transmits on.
   for (std::size_t s = 0; s < specs_.size(); ++s) {
     const ServerSpec& spec = specs_[s];
-    sim::Simulator& server_sim = sim_for(s % parts);
+    sim::Simulator& server_sim = psim_.partition(s % parts);
     servers_.push_back(
         std::make_unique<server::EdgeServer>(server_sim, spec.config));
     if (!spec.background_load.empty()) {
@@ -169,42 +143,27 @@ void Experiment::build() {
     }
   }
 
-  std::vector<net::Link*> shaped_links;
   for (std::size_t i = 0; i < scenario_.devices.size(); ++i) {
     const auto& dconf = scenario_.devices[i];
     auto rig = std::make_unique<DeviceRig>();
     rig->index = i;
     const std::size_t group =
         uplink_media_.empty() ? i : i % uplink_media_.size();
-    const std::size_t part = group % parts;
-    sim::Simulator& dev_sim = sim_for(part);
-    rig->sim = &dev_sim;
+    rig->partition = group % parts;
+    sim::Simulator& dev_sim = psim_.partition(rig->partition);
 
     rig->transport = std::make_unique<FleetOffloadTransport>();
     for (std::size_t s = 0; s < servers_.size(); ++s) {
-      const std::size_t server_part = s % parts;
       auto path = std::make_unique<NetworkedOffloadTransport>(
-          dev_sim, sim_for(server_part), *servers_[s],
+          dev_sim, psim_.partition(s % parts), *servers_[s],
           path_config(i, dconf, s));
       net::Link& fwd = path->path().forward_link();
       net::Link& rev = path->path().reverse_link();
-      if (partitioned) {
-        // Each link crosses from its sender's partition to the receiver's;
-        // self-edges (device co-partitioned with the server) still route
-        // through the mailbox so the delivery order contract is identical
-        // at every K.
-        fwd.bind_boundary(&psim_->add_edge(part, server_part, floor));
-        rev.bind_boundary(&psim_->add_edge(server_part, part, floor));
-
-        // Netem is applied per link on the link's home simulator: phase
-        // changes are sender-side state, and one event per (phase, link)
-        // keeps the event count independent of the partition count.
-        scenario_.network.apply(fwd.simulator(), {&fwd});
-        scenario_.network.apply(rev.simulator(), {&rev});
-      } else {
-        shaped_links.push_back(&fwd);
-        shaped_links.push_back(&rev);
-      }
+      // Netem is applied per link on the link's home partition: phase
+      // changes are sender-side state, and one event per (phase, link)
+      // keeps the event count independent of the partition count.
+      scenario_.network.apply(fwd);
+      scenario_.network.apply(rev);
       if (!uplink_media_.empty()) {
         // The AP is on the device side: every server path of this device
         // contends on the device group's medium.
@@ -226,25 +185,48 @@ void Experiment::build() {
     DeviceRig* raw = rig.get();
     rig->control_timer = std::make_unique<sim::PeriodicTimer>(
         dev_sim, [this, raw](std::uint64_t) { control_tick(*raw); });
-    if (partitioned) {
-      rig->sample_timer = std::make_unique<sim::PeriodicTimer>(
-          dev_sim, [this, raw](std::uint64_t) { sample_rig(*raw); });
-    }
+    rig->sample_timer = std::make_unique<sim::PeriodicTimer>(
+        dev_sim, [this, raw](std::uint64_t) { sample_rig(*raw); });
     rigs_.push_back(std::move(rig));
   }
 
-  if (!partitioned) {
-    scenario_.network.apply(*sim_, std::move(shaped_links));
-    sample_timer_ = std::make_unique<sim::PeriodicTimer>(
-        *sim_, [this](std::uint64_t) { sample_tick(); });
+  // K = 0 schedules link deliveries directly on its one partition. K >= 1
+  // routes each link through a boundary edge from its sender's partition
+  // to its receiver's; self-edges (device co-partitioned with the server)
+  // still route through the mailbox so the delivery order contract is
+  // identical at every K >= 1.
+  if (scenario_.partitions > 0) {
+    // Lookahead floor: no delivery crosses a link faster than the minimum
+    // propagation delay the run can ever configure -- the netem schedule's
+    // floor folded with the link templates' initial conditions.
+    SimDuration floor = scenario_.network.min_propagation_delay();
+    floor =
+        std::min(floor, scenario_.uplink_template.initial.propagation_delay);
+    floor = std::min(floor,
+                     scenario_.downlink_template.initial.propagation_delay);
+    if (floor <= 0) {
+      throw std::invalid_argument(
+          "Experiment: partitioned execution requires a strictly positive "
+          "propagation delay on every link and netem phase (the "
+          "conservative lookahead); this scenario's minimum is zero");
+    }
+    for (const auto& rig : rigs_) {
+      for (std::size_t s = 0; s < rig->transport->path_count(); ++s) {
+        net::DuplexPath& path = rig->transport->path(s).path();
+        path.forward_link().bind_boundary(
+            &psim_.add_edge(rig->partition, s % parts, floor));
+        path.reverse_link().bind_boundary(
+            &psim_.add_edge(s % parts, rig->partition, floor));
+      }
+    }
   }
 }
 
 void Experiment::set_trace_sink(obs::TraceSink* sink) {
-  // Partitioned windows emit from worker threads concurrently; TraceSink
+  // Windows run on several workers emit concurrently; TraceSink
   // implementations are single-threaded by contract, so interpose the
   // serializing wrapper.
-  if (psim_ != nullptr && sink != nullptr) {
+  if (psim_.worker_count() > 1 && sink != nullptr) {
     synced_sink_ = std::make_unique<obs::SynchronizedTraceSink>(*sink);
     sink = synced_sink_.get();
   } else {
@@ -277,8 +259,8 @@ void Experiment::control_tick(DeviceRig& rig) {
   maybe_rehome(rig);
 
   if (trace_sink_ != nullptr) {
-    obs::TraceEvent event(rig.sim->now(), obs::ev::kControlTick,
-                          dev.config().name);
+    obs::TraceEvent event(psim_.partition(rig.partition).now(),
+                          obs::ev::kControlTick, dev.config().name);
     event.with("po", po)
         .with("T", input.timeout_rate)
         .with("pl", input.local_rate)
@@ -309,12 +291,8 @@ void Experiment::maybe_rehome(DeviceRig& rig) {
   }
 }
 
-void Experiment::sample_tick() {
-  for (auto& rig : rigs_) sample_rig(*rig);
-}
-
 void Experiment::sample_rig(DeviceRig& rig) {
-  const SimTime now = rig.sim->now();
+  const SimTime now = psim_.partition(rig.partition).now();
   device::EdgeDevice& dev = *rig.device;
   device::Telemetry& t = dev.telemetry();
   rig.series.series("P").record(now, t.throughput(now));
@@ -351,22 +329,16 @@ ExperimentResult Experiment::run() {
   // period after the last rig's first control tick, so no series ever
   // records the pre-control transient.
   const SimTime first_sample = first_control + scenario_.sample_period / 2;
-  if (psim_) {
-    for (auto& rig : rigs_) {
-      rig->sample_timer->start(scenario_.sample_period, first_sample);
-    }
-    psim_->run_until(scenario_.duration);
-  } else {
-    sample_timer_->start(scenario_.sample_period, first_sample);
-    sim_->run_until(scenario_.duration);
+  for (auto& rig : rigs_) {
+    rig->sample_timer->start(scenario_.sample_period, first_sample);
   }
+  psim_.run_until(scenario_.duration);
 
   ExperimentResult result;
   result.scenario = scenario_.name;
   result.seed = scenario_.seed;
-  result.duration = psim_ ? psim_->now() : sim_->now();
-  result.events_executed =
-      psim_ ? psim_->events_executed() : sim_->events_executed();
+  result.duration = psim_.now();
+  result.events_executed = psim_.events_executed();
 
   for (std::size_t s = 0; s < servers_.size(); ++s) {
     ServerResult sr;

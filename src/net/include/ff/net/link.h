@@ -34,6 +34,10 @@ struct LinkConditions {
   SimDuration propagation_delay{2 * kMillisecond};
 };
 
+/// Throws std::invalid_argument naming `who` and the value unless
+/// `loss_probability` lies in [0, 1]; NaN is rejected too.
+void check_loss_probability(double loss_probability, const char* who);
+
 struct LinkConfig {
   std::string name{"link"};
   LinkConditions initial{};
@@ -71,7 +75,8 @@ class Link {
  public:
   using DeliveryFn = std::function<void(const Packet&)>;
 
-  /// `sim` must outlive the link.
+  /// `sim` must outlive the link. Throws std::invalid_argument when the
+  /// initial loss probability lies outside [0, 1].
   Link(sim::Simulator& sim, LinkConfig config);
 
   Link(const Link&) = delete;

@@ -24,7 +24,9 @@ class NetemSchedule {
   NetemSchedule() = default;
   explicit NetemSchedule(std::vector<NetemPhase> phases);
 
-  /// Adds a phase; phases must be appended in increasing start order.
+  /// Adds a phase; phases must be appended in increasing start order, and
+  /// the loss probability must lie in [0, 1] (std::invalid_argument
+  /// otherwise, NaN included).
   NetemSchedule& add(SimTime start, LinkConditions conditions,
                      std::string label = "");
 
@@ -40,9 +42,9 @@ class NetemSchedule {
   /// Index of the phase in force at `t` (0 when before the first phase).
   [[nodiscard]] std::size_t phase_index_at(SimTime t) const;
 
-  /// Schedules `set_conditions` calls on every link at each phase start.
-  /// Links must outlive the simulation run.
-  void apply(sim::Simulator& sim, std::vector<Link*> links) const;
+  /// Schedules a `set_conditions` call on `link` at each phase start, on
+  /// the link's own simulator. The link must outlive the simulation run.
+  void apply(Link& link) const;
 
   /// Minimum propagation delay over all phases (SimDuration max when the
   /// schedule is empty -- callers fold in the links' initial conditions).

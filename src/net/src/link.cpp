@@ -1,6 +1,8 @@
 #include "ff/net/link.h"
 
 #include <algorithm>
+#include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "ff/net/shared_medium.h"
@@ -8,6 +10,16 @@
 #include "ff/util/logging.h"
 
 namespace ff::net {
+
+void check_loss_probability(double loss_probability, const char* who) {
+  // Written so that NaN, which fails every comparison, is rejected.
+  if (!(loss_probability >= 0.0 && loss_probability <= 1.0)) {
+    std::ostringstream msg;
+    msg << who << ": loss probability " << loss_probability
+        << " is outside [0, 1]";
+    throw std::invalid_argument(msg.str());
+  }
+}
 
 Link::Link(sim::Simulator& sim, LinkConfig config)
     : sim_(sim),
@@ -17,7 +29,9 @@ Link::Link(sim::Simulator& sim, LinkConfig config)
       jitter_(config_.delay_jitter > 0
                   ? make_normal_delay(0, config_.delay_jitter)
                   : nullptr),
-      rng_(sim.make_rng("link/" + config_.name)) {}
+      rng_(sim.make_rng("link/" + config_.name)) {
+  check_loss_probability(conditions_.loss_probability, "Link");
+}
 
 bool Link::send(Packet packet) {
   ++stats_.packets_offered;

@@ -9,8 +9,10 @@ namespace ff::net {
 
 NetemSchedule::NetemSchedule(std::vector<NetemPhase> phases)
     : phases_(std::move(phases)) {
-  for (std::size_t i = 1; i < phases_.size(); ++i) {
-    if (phases_[i].start < phases_[i - 1].start) {
+  for (std::size_t i = 0; i < phases_.size(); ++i) {
+    check_loss_probability(phases_[i].conditions.loss_probability,
+                           "NetemSchedule");
+    if (i > 0 && phases_[i].start < phases_[i - 1].start) {
       throw std::invalid_argument("NetemSchedule: phases out of order");
     }
   }
@@ -18,6 +20,7 @@ NetemSchedule::NetemSchedule(std::vector<NetemPhase> phases)
 
 NetemSchedule& NetemSchedule::add(SimTime start, LinkConditions conditions,
                                   std::string label) {
+  check_loss_probability(conditions.loss_probability, "NetemSchedule");
   if (!phases_.empty() && start < phases_.back().start) {
     throw std::invalid_argument("NetemSchedule: phases out of order");
   }
@@ -38,11 +41,12 @@ std::size_t NetemSchedule::phase_index_at(SimTime t) const {
   return idx;
 }
 
-void NetemSchedule::apply(sim::Simulator& sim, std::vector<Link*> links) const {
+void NetemSchedule::apply(Link& link) const {
   for (const auto& phase : phases_) {
-    sim.schedule_at(phase.start, [links, conditions = phase.conditions] {
-      for (Link* link : links) link->set_conditions(conditions);
-    });
+    link.simulator().schedule_at(
+        phase.start, [&link, conditions = phase.conditions] {
+          link.set_conditions(conditions);
+        });
   }
 }
 

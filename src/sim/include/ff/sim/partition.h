@@ -23,16 +23,18 @@
 // Determinism is the headline contract: results are bit-identical for any
 // partition count and any worker-thread count. Three mechanisms carry it:
 //
-//  1. Mailboxes are SPSC by construction (one producing partition; the
-//     driver consumes only at barriers), so no interleaving exists to
-//     observe.
-//  2. At each barrier the drained envelopes are ordered canonically --
-//     stable-sorted by (deliver_at, post_time), with the stable sort
-//     preserving (edge id, intra-edge FIFO) for full ties -- and assigned
-//     sequences from one global counter in that order. Windows partition
-//     virtual time identically for every K (the pending-event union, and
-//     hence the horizon sequence, is K-independent), so equal post times
-//     always share a drain and the assignment is reproducible.
+//  1. Each partition owns one outbox that only its own worker appends to
+//     while a window executes; the driver reads every outbox only at the
+//     barrier, when no worker runs. No interleaving exists to observe.
+//  2. At each barrier the posted envelopes are ordered canonically by
+//     (deliver_at, post_time, edge id), with a stable sort over the
+//     outboxes' post order keeping intra-edge FIFO for full ties (an edge
+//     posts into one outbox only), and assigned sequences from one global
+//     counter in that order. Windows partition virtual time identically
+//     for every K (the pending-event union, and hence the horizon
+//     sequence, is K-independent), so equal post times always share a
+//     drain and the assignment is reproducible. The drain touches only
+//     posted envelopes, never the edges that carried none.
 //  3. Assigned sequences live in the EventQueue's external band: at equal
 //     timestamps, every delivery executes after every internal event of
 //     the destination partition, by explicit rule rather than by accident
@@ -51,6 +53,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -62,19 +65,22 @@
 
 namespace ff::sim {
 
-/// One cross-partition message: an action to run in the destination
-/// partition at `deliver_at`, posted by the source at `post_time`.
+/// One cross-partition message: an action to run in partition
+/// `destination` at `deliver_at`, posted through edge `edge` at
+/// `post_time`.
 struct BoundaryEnvelope {
   SimTime deliver_at{0};
   SimTime post_time{0};
+  std::size_t edge{0};
+  std::size_t destination{0};
   InlineTask action;
 };
 
-/// Mailbox for one directed source-partition -> destination-partition
-/// edge. Single producer (the source partition's worker, while a window
-/// executes), single consumer (the driver, at the barrier between
-/// windows) -- the two phases never overlap, so a plain vector suffices
-/// and envelope order is exactly post order.
+/// One directed source-partition -> destination-partition edge. Posts go
+/// to the source partition's outbox, written only by that partition's
+/// worker while a window executes and read only by the driver at the
+/// barrier between windows -- the two phases never overlap, so a plain
+/// vector suffices and envelope order is exactly post order.
 class BoundaryEdge {
  public:
   /// Posts an action for the destination partition. Must be called only
@@ -83,8 +89,8 @@ class BoundaryEdge {
   void post(SimTime post_time, SimTime deliver_at, InlineTask action) {
     assert(deliver_at >= post_time + min_delay_ &&
            "boundary post violates the edge's lookahead contract");
-    pending_.push_back(BoundaryEnvelope{deliver_at, post_time,
-                                        std::move(action)});
+    outbox_->push_back(BoundaryEnvelope{deliver_at, post_time, id_,
+                                        destination_, std::move(action)});
   }
 
   /// Lookahead bound: no post may deliver sooner than this after its
@@ -102,17 +108,18 @@ class BoundaryEdge {
   friend class PartitionedSimulator;
 
   BoundaryEdge(std::size_t id, std::size_t source, std::size_t destination,
-               SimDuration min_delay)
+               SimDuration min_delay, std::vector<BoundaryEnvelope>* outbox)
       : id_(id),
         source_(source),
         destination_(destination),
-        min_delay_(min_delay) {}
+        min_delay_(min_delay),
+        outbox_(outbox) {}
 
   std::size_t id_;
   std::size_t source_;
   std::size_t destination_;
   SimDuration min_delay_;
-  std::vector<BoundaryEnvelope> pending_;
+  std::vector<BoundaryEnvelope>* outbox_;
 };
 
 /// K Simulators advanced in lockstep time windows. See the file comment
@@ -127,7 +134,8 @@ class PartitionedSimulator {
     std::size_t partitions{1};
     /// Worker threads for window execution: 0 = one per partition (capped
     /// at hardware concurrency), 1 = serial on the calling thread. Results
-    /// are bit-identical across all values.
+    /// are bit-identical across all values. Resolved once, at
+    /// construction.
     unsigned threads{0};
   };
 
@@ -169,6 +177,10 @@ class PartitionedSimulator {
   /// Conservative global clock: the minimum of the partition clocks.
   [[nodiscard]] SimTime now() const;
 
+  /// Threads that execute windows, resolved from Options::threads at
+  /// construction: 1 means every window runs on the calling thread.
+  [[nodiscard]] unsigned worker_count() const { return worker_count_; }
+
   /// Total events executed across all partitions.
   [[nodiscard]] std::uint64_t events_executed() const;
 
@@ -184,17 +196,19 @@ class PartitionedSimulator {
   void stop_workers();
   void worker_loop(unsigned index);
 
+  /// A source partition's outbox, on its own cache line.
+  struct alignas(64) Outbox {
+    std::vector<BoundaryEnvelope> envelopes;
+  };
+
   std::vector<std::unique_ptr<Simulator>> partitions_;
-  std::vector<std::unique_ptr<BoundaryEdge>> edges_;
+  std::vector<Outbox> outboxes_;
+  /// A deque keeps each edge's address stable as edges are added.
+  std::deque<BoundaryEdge> edges_;
   SimDuration lookahead_{0};
   std::uint64_t next_external_seq_{EventQueue::kExternalSequenceBase};
-  /// Drain scratch, reused across barriers: envelope plus its edge's
-  /// destination partition, tagged at gather time.
-  struct DrainEntry {
-    BoundaryEnvelope* envelope;
-    std::uint32_t destination;
-  };
-  std::vector<DrainEntry> batch_;
+  /// Drain scratch, reused across barriers.
+  std::vector<BoundaryEnvelope*> batch_;
 
   // Worker gang (started lazily on the first parallel window). Round
   // protocol: the driver writes horizon_, bumps round_ (release); workers
@@ -208,8 +222,7 @@ class PartitionedSimulator {
   // state must be written only between a remaining_ acquire and the next
   // round_ bump (driver side) or read only after a round_ acquire
   // (worker side).
-  unsigned requested_threads_{0};
-  unsigned worker_count_{0};
+  unsigned worker_count_{1};
   std::vector<std::thread> workers_;
   std::atomic<std::uint64_t> round_{0};
   std::atomic<unsigned> remaining_{0};

@@ -4,6 +4,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 
 namespace ff::sim {
 namespace {
@@ -29,8 +30,7 @@ PartitionedSimulator::PartitionedSimulator(std::uint64_t seed)
     : PartitionedSimulator(seed, Options{}) {}
 
 PartitionedSimulator::PartitionedSimulator(std::uint64_t seed,
-                                           Options options)
-    : requested_threads_(options.threads) {
+                                           Options options) {
   if (options.partitions == 0) {
     throw std::invalid_argument(
         "PartitionedSimulator: partition count must be >= 1");
@@ -39,6 +39,14 @@ PartitionedSimulator::PartitionedSimulator(std::uint64_t seed,
   for (std::size_t i = 0; i < options.partitions; ++i) {
     partitions_.push_back(std::make_unique<Simulator>(seed));
   }
+  outboxes_.resize(options.partitions);
+  // hardware_concurrency() reads sysfs; one partition never needs it.
+  unsigned threads = std::max(options.threads, 1u);
+  if (options.threads == 0 && options.partitions > 1) {
+    threads = std::max(std::thread::hardware_concurrency(), 1u);
+  }
+  worker_count_ = static_cast<unsigned>(
+      std::min<std::size_t>(options.partitions, threads));
 }
 
 PartitionedSimulator::~PartitionedSimulator() { stop_workers(); }
@@ -58,12 +66,10 @@ BoundaryEdge& PartitionedSimulator::add_edge(std::size_t source,
         "; conservative synchronization needs a strictly positive lookahead "
         "(the link's minimum propagation delay)");
   }
-  edges_.push_back(std::unique_ptr<BoundaryEdge>(
-      // ff-lint: allow(raw-allocation) topology setup, not the event path
-      // (private ctor keeps make_unique out)
-      new BoundaryEdge(edges_.size(), source, destination, min_delay)));
+  edges_.push_back(BoundaryEdge(edges_.size(), source, destination, min_delay,
+                               &outboxes_[source].envelopes));
   lookahead_ = lookahead_ == 0 ? min_delay : std::min(lookahead_, min_delay);
-  return *edges_.back();
+  return edges_.back();
 }
 
 SimTime PartitionedSimulator::now() const {
@@ -109,46 +115,30 @@ std::uint64_t PartitionedSimulator::run_until(SimTime t_end) {
 
 void PartitionedSimulator::drain_mailboxes() {
   batch_.clear();
-  // Gather in edge-creation order: for full (deliver_at, post_time) ties
-  // the stable sort below preserves this order -- edge id first, then
-  // intra-edge FIFO.
-  for (const auto& edge : edges_) {
-    for (BoundaryEnvelope& env : edge->pending_) {
-      batch_.push_back(
-          DrainEntry{&env, static_cast<std::uint32_t>(edge->destination_)});
-    }
+  for (Outbox& outbox : outboxes_) {
+    for (BoundaryEnvelope& env : outbox.envelopes) batch_.push_back(&env);
   }
   if (batch_.empty()) return;
+  // An edge posts into its source's outbox only, in post order, so the
+  // stable sort keeps intra-edge FIFO for full ties.
   std::stable_sort(batch_.begin(), batch_.end(),
-                   [](const DrainEntry& a, const DrainEntry& b) {
-                     if (a.envelope->deliver_at != b.envelope->deliver_at) {
-                       return a.envelope->deliver_at < b.envelope->deliver_at;
-                     }
-                     return a.envelope->post_time < b.envelope->post_time;
+                   [](const BoundaryEnvelope* a, const BoundaryEnvelope* b) {
+                     return std::tie(a->deliver_at, a->post_time, a->edge) <
+                            std::tie(b->deliver_at, b->post_time, b->edge);
                    });
-  for (const DrainEntry& entry : batch_) {
-    (void)partitions_[entry.destination]->schedule_external(
-        entry.envelope->deliver_at, next_external_seq_++,
-        std::move(entry.envelope->action));
+  for (BoundaryEnvelope* env : batch_) {
+    (void)partitions_[env->destination]->schedule_external(
+        env->deliver_at, next_external_seq_++, std::move(env->action));
   }
-  for (const auto& edge : edges_) edge->pending_.clear();
+  for (Outbox& outbox : outboxes_) outbox.envelopes.clear();
 }
 
 void PartitionedSimulator::execute_window(SimTime horizon) {
-  unsigned want = requested_threads_ == 0
-                      ? static_cast<unsigned>(std::min<std::size_t>(
-                            partitions_.size(),
-                            std::max(1u, std::thread::hardware_concurrency())))
-                      : static_cast<unsigned>(std::min<std::size_t>(
-                            partitions_.size(), requested_threads_));
-  if (want <= 1) {
+  if (worker_count_ <= 1) {
     for (const auto& p : partitions_) p->run_until(horizon);
     return;
   }
-  if (workers_.empty()) {
-    worker_count_ = want;
-    start_workers();
-  }
+  if (workers_.empty()) start_workers();
   horizon_ = horizon;
   remaining_.store(worker_count_, std::memory_order_relaxed);
   round_.fetch_add(1, std::memory_order_release);

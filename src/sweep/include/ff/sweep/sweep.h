@@ -39,10 +39,11 @@ struct Axis {
   std::vector<AxisValue> values;
 };
 
-/// Axis over Scenario::partitions ("K=<n>" labels; 0 = the legacy
-/// single-simulator path). Partitioned points (K >= 1) produce identical
+/// Axis over Scenario::partitions ("K=<n>" labels; 0 = one partition
+/// with direct link scheduling). Points with K >= 1 produce identical
 /// fingerprints for every K -- sweeping this axis is the determinism
-/// matrix -- while K = 0 differs in event bookkeeping only.
+/// matrix -- while K = 0 may order same-timestamp link deliveries
+/// differently.
 [[nodiscard]] Axis partition_axis(std::vector<std::size_t> counts);
 
 /// Axis over fleet size ("M=<n>" labels): replaces Scenario::fleet with a

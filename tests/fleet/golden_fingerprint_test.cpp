@@ -92,7 +92,10 @@ TEST(GoldenFingerprint, FleetScenarioReachesEveryBranch) {
 }
 
 TEST(GoldenFingerprint, FleetSerialKernel) {
-  EXPECT_EQ(fingerprint(golden_fleet(0)), 0xc6de06bdd311e79full);
+  // K = 0 schedules link deliveries directly instead of through boundary
+  // edges; on this scenario no such delivery changes order, so it lands
+  // on the K >= 1 value.
+  EXPECT_EQ(fingerprint(golden_fleet(0)), 0x888b9e036d86e57aull);
 }
 
 TEST(GoldenFingerprint, FleetPartitionedKernel) {
@@ -105,7 +108,7 @@ TEST(GoldenFingerprint, Fig3SerialKernel) {
   Scenario s = Scenario::paper_network();
   s.seed = 42;
   s.duration = 45 * kSecond;
-  EXPECT_EQ(fingerprint(s), 0x8785cf05f027f415ull);
+  EXPECT_EQ(fingerprint(s), 0xad2a2ed0089dc2ebull);
 }
 
 }  // namespace

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <sstream>
+#include <stdexcept>
+#include <string>
+
 namespace ff::net {
 namespace {
 
@@ -73,7 +78,7 @@ TEST(NetemSchedule, ApplyChangesLinkAtPhaseStart) {
   NetemSchedule s;
   s.add(0, {Bandwidth::mbps(10), 0.0, 0});
   s.add(5 * kSecond, {Bandwidth::mbps(1), 0.25, 0});
-  s.apply(sim, {&link});
+  s.apply(link);
 
   sim.run_until(4 * kSecond);
   EXPECT_DOUBLE_EQ(link.conditions().loss_probability, 0.0);
@@ -88,10 +93,36 @@ TEST(NetemSchedule, ApplyReachesAllLinks) {
   Link a(sim, c), b(sim, c);
   NetemSchedule s;
   s.add(kSecond, {Bandwidth::mbps(2), 0.1, 0});
-  s.apply(sim, {&a, &b});
+  s.apply(a);
+  s.apply(b);
   sim.run_until(2 * kSecond);
   EXPECT_DOUBLE_EQ(a.conditions().loss_probability, 0.1);
   EXPECT_DOUBLE_EQ(b.conditions().loss_probability, 0.1);
+}
+
+TEST(NetemSchedule, RejectsLossOutsideUnitInterval) {
+  for (const double loss : {-0.1, 1.7, std::nan("")}) {
+    NetemSchedule s;
+    try {
+      s.add(0, {Bandwidth::mbps(10), loss, 0});
+      FAIL() << "loss " << loss << " must be rejected";
+    } catch (const std::invalid_argument& e) {
+      // The message names the offending value.
+      std::ostringstream value;
+      value << loss;
+      EXPECT_NE(std::string(e.what()).find(value.str()), std::string::npos)
+          << e.what();
+    }
+    EXPECT_TRUE(s.empty());
+
+    sim::Simulator sim;
+    LinkConfig c;
+    c.initial.loss_probability = loss;
+    EXPECT_THROW(Link(sim, c), std::invalid_argument) << loss;
+  }
+  NetemSchedule edges;
+  EXPECT_NO_THROW(edges.add(0, {Bandwidth::mbps(10), 0.0, 0}));
+  EXPECT_NO_THROW(edges.add(1, {Bandwidth::mbps(10), 1.0, 0}));
 }
 
 TEST(NetemSchedule, ConstantSingsPhase) {

@@ -119,7 +119,8 @@ TEST(PartitionedSimulator, SafeHorizonIsHorizonWhenIdleOrEdgeFree) {
 
 /// Adversarial mailbox ordering: deliveries with equal timestamps, posted
 /// through different edges at different post times, must execute in
-/// (deliver_at, post_time, edge id, FIFO) order -- and always after the
+/// (deliver_at, post_time, edge id, FIFO) order -- also when the tied
+/// edges start in different partitions -- and always after the
 /// destination's internal events at the same timestamp, even ones
 /// scheduled after the deliveries were drained.
 TEST(PartitionedSimulator, CanonicalDrainOrderUnderAdversarialTimestamps) {
@@ -164,6 +165,25 @@ TEST(PartitionedSimulator, CanonicalDrainOrderUnderAdversarialTimestamps) {
   const std::vector<std::string> expected = {
       "I20", "A", "C", "B", "D", "I25", "E", "F"};
   EXPECT_EQ(log, expected);
+
+  // A full (deliver_at, post_time) tie between edges from different source
+  // partitions breaks by edge id, not by which source's posts are gathered
+  // first: edge 1->2 is created before edge 0->2, so its delivery runs
+  // first even though partition 0 precedes partition 1.
+  PartitionedSimulator three(1, serial(3));
+  BoundaryEdge& from1 = three.add_edge(1, 2, 10);
+  BoundaryEdge& from0 = three.add_edge(0, 2, 10);
+  ASSERT_LT(from1.id(), from0.id());
+  log.clear();
+  three.partition(0).schedule_at(0, [&] {
+    from0.post(0, 20, InlineTask(mark("0->2")));
+  });
+  three.partition(1).schedule_at(0, [&] {
+    from1.post(0, 20, InlineTask(mark("1->2")));
+  });
+  three.run_until(100);
+  const std::vector<std::string> cross = {"1->2", "0->2"};
+  EXPECT_EQ(log, cross);
 }
 
 /// Envelopes still pending when run_until returns (posted in the final
