@@ -2,9 +2,10 @@
 // experiment executed at K = 0 (direct link scheduling on one partition)
 // and K = 1, 2, 4, 8 partitions, with events/s as the headline. The
 // scaling claim this backs: >= 2x events/s at K=4 over K=1; K=1 over K=0
-// is the cost of routing every link through a boundary edge. A synthetic
-// kernel-only benchmark isolates window/barrier overhead from experiment
-// entity costs.
+// is the cost of routing every link through a boundary edge. A
+// fleet-shaped experiment (1024 devices, 16 servers) reports the same
+// ratios on the ROADMAP ladder's 1k rung. A synthetic kernel-only
+// benchmark isolates window/barrier overhead from experiment entity costs.
 
 #include <benchmark/benchmark.h>
 
@@ -61,6 +62,53 @@ BENCHMARK(BM_PartitionedExperiment)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
+    ->Unit(benchmark::kMillisecond);
+
+/// The 1k-device fleet: 1024 devices in 128 shared-medium groups on a
+/// clean 400 Mbps / 2 ms link, offloading to 16 uniform servers, 1 s
+/// simulated. Server work spreads over partitions, unlike the 64-device
+/// single-server workload above.
+core::Scenario fleet_scenario(std::size_t partitions) {
+  core::Scenario s = core::Scenario::ideal(kSecond);
+  s.name = "micro-fleet";
+  s.seed = 42;
+  const device::DeviceConfig proto = s.devices.at(0);
+  s.devices.clear();
+  for (std::size_t i = 0; i < 1024; ++i) {
+    device::DeviceConfig d = proto;
+    d.name = "dev-" + std::to_string(i);
+    s.add_device(std::move(d));
+  }
+  s.shared_uplink_medium = true;
+  s.uplink_medium_groups = 128;
+  const net::LinkConditions link{Bandwidth::mbps(400.0), 0.0,
+                                 2 * kMillisecond};
+  s.network = net::NetemSchedule::constant(link);
+  s.uplink_template.initial = link;
+  s.downlink_template.initial = link;
+  s.fleet = core::FleetTopology::uniform(s.server, 16);
+  s.partitions = partitions;
+  s.partition_threads = 0;  // one worker per partition
+  return s;
+}
+
+void BM_FleetExperiment(benchmark::State& state) {
+  const auto partitions = static_cast<std::size_t>(state.range(0));
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    const core::ExperimentResult r = core::run_experiment(
+        fleet_scenario(partitions),
+        core::make_controller_factory<control::FrameFeedbackController>());
+    events += r.events_executed;
+    benchmark::DoNotOptimize(r.events_executed);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+  state.counters["partitions"] = static_cast<double>(partitions);
+}
+BENCHMARK(BM_FleetExperiment)
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
 /// Kernel-only scaling: K partitions each burn a self-rescheduling event

@@ -73,6 +73,13 @@ int main(int argc, char** argv) {
   }
 
   try {
+    // A typo'd key would otherwise be ignored and run the defaults.
+    std::vector<std::string> known = ff::core::config_keys();
+    known.insert(known.end(), {"config", "controllers", "plot", "csv",
+                               "trace", "trace-out", "metrics-out",
+                               "replay"});
+    cfg.reject_unknown_keys(known);
+
     if (const auto capture = cfg.get("replay")) {
       const auto replay = ff::invariants::replay_capture(*capture);
       std::cout << "replay " << *capture << ": scenario "

@@ -184,8 +184,9 @@ class Experiment {
     std::size_t index{0};
     /// The partition this rig's entities execute on.
     std::size_t partition{0};
-    /// One NetworkedOffloadTransport path per server behind the fleet
-    /// selector; the M = 1 case is pass-through.
+    /// One NetworkedOffloadTransport path per reachable server behind the
+    /// fleet selector: every server under a placement policy, otherwise
+    /// only the build-time one. A single built path is pass-through.
     std::unique_ptr<FleetOffloadTransport> transport;
     std::unique_ptr<device::EdgeDevice> device;
     std::unique_ptr<control::Controller> controller;

@@ -104,6 +104,14 @@ struct Scenario {
 
   /// Applies one frame spec to all devices.
   void set_frame_spec(const models::FrameSpec& spec);
+
+  /// Range checks owned by the scenario, run by Experiment before it builds
+  /// anything: at least one device, a positive duration, positive device
+  /// source_fps and deadline, and positive bandwidth on both link templates
+  /// and every netem phase. Throws std::invalid_argument naming the
+  /// offending field and value. (Loss probabilities are already checked
+  /// where they are set: NetemSchedule::add and the Link constructor.)
+  void validate() const;
 };
 
 /// The three Raspberry Pis from paper Table II, streaming MobileNetV3Small

@@ -4,7 +4,8 @@
 // (command line or file), so experiments can be driven without writing
 // C++ -- the `ffctl` example is a thin wrapper over this.
 //
-// Keys (all optional; unknown keys are ignored):
+// Keys (all optional; config_keys() lists them for
+// Config::reject_unknown_keys):
 //   scenario           ideal | paper_network | paper_server_load |
 //                      paper_tuning | paper_combined | mixed_models
 //   seed               uint
@@ -22,6 +23,11 @@
 //   net.loss           double
 //   net.delay_ms       double
 //   load.rate          double       (constant background req/s)
+//   medium_groups / partitions / partition_threads   int
+//   fleet.servers      int          (M uniform servers, round-robin)
+//   fleet.admission.policy          none | token-bucket | queue-depth
+//   fleet.admission.rate / .burst   double
+//   fleet.admission.queue_limit     int
 //
 //   controller         frame-feedback | local-only | always-offload |
 //                      all-or-nothing | aimd | quality-adapt | fixed |
@@ -31,6 +37,7 @@
 //   controller.capacity_fps         double (reservation)
 
 #include <string>
+#include <vector>
 
 #include "ff/core/experiment.h"
 #include "ff/core/scenario.h"
@@ -47,6 +54,10 @@ namespace ff::core {
 /// std::invalid_argument on an unknown `controller` value.
 [[nodiscard]] ControllerFactory controller_factory_from_config(
     const Config& config);
+
+/// Every key scenario_from_config and controller_factory_from_config read,
+/// for Config::reject_unknown_keys (callers append their own keys).
+[[nodiscard]] std::vector<std::string> config_keys();
 
 /// Names accepted for `controller`, for help text.
 [[nodiscard]] std::string known_controller_names();

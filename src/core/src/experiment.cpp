@@ -37,9 +37,7 @@ Experiment::Experiment(Scenario scenario, ControllerFactory controllers)
       // K = 0 runs on one partition, like K = 1 (see build()).
       psim_(scenario_.seed, {std::max<std::size_t>(scenario_.partitions, 1),
                              scenario_.partition_threads}) {
-  if (scenario_.devices.empty()) {
-    throw std::invalid_argument("Experiment: scenario has no devices");
-  }
+  scenario_.validate();
   build();
 }
 
@@ -152,8 +150,12 @@ void Experiment::build() {
     rig->partition = group % parts;
     sim::Simulator& dev_sim = psim_.partition(rig->partition);
 
-    rig->transport = std::make_unique<FleetOffloadTransport>();
+    // A device can only ever be homed on its build-time server unless a
+    // placement policy may re-home it (on_rejection may return any
+    // server), so only the paths it can reach are built.
+    rig->transport = std::make_unique<FleetOffloadTransport>(servers_.size());
     for (std::size_t s = 0; s < servers_.size(); ++s) {
+      if (!placement_ && s != assignments_[i]) continue;
       auto path = std::make_unique<NetworkedOffloadTransport>(
           dev_sim, psim_.partition(s % parts), *servers_[s],
           path_config(i, dconf, s));
@@ -169,7 +171,7 @@ void Experiment::build() {
         // contends on the device group's medium.
         fwd.attach_medium(uplink_media_[group].get());
       }
-      rig->transport->add_path(std::move(path));
+      rig->transport->add_path(s, std::move(path));
     }
     rig->transport->set_active(assignments_[i]);
     rig->initial_server = assignments_[i];
@@ -211,7 +213,8 @@ void Experiment::build() {
           "conservative lookahead); this scenario's minimum is zero");
     }
     for (const auto& rig : rigs_) {
-      for (std::size_t s = 0; s < rig->transport->path_count(); ++s) {
+      for (std::size_t s = 0; s < rig->transport->server_count(); ++s) {
+        if (!rig->transport->has_path(s)) continue;
         net::DuplexPath& path = rig->transport->path(s).path();
         path.forward_link().bind_boundary(
             &psim_.add_edge(rig->partition, s % parts, floor));
@@ -236,7 +239,8 @@ void Experiment::set_trace_sink(obs::TraceSink* sink) {
   for (auto& server : servers_) server->attach_trace_sink(sink);
   for (auto& rig : rigs_) {
     rig->device->attach_trace_sink(sink);
-    for (std::size_t s = 0; s < rig->transport->path_count(); ++s) {
+    for (std::size_t s = 0; s < rig->transport->server_count(); ++s) {
+      if (!rig->transport->has_path(s)) continue;
       rig->transport->path(s).path().attach_trace_sink(sink);
     }
   }
@@ -278,15 +282,15 @@ void Experiment::control_tick(DeviceRig& rig) {
 /// next. Runs on the device's own partition; on_rejection is const and
 /// thread-safe by contract, and set_active only mutates this rig.
 void Experiment::maybe_rehome(DeviceRig& rig) {
-  if (!placement_ || rig.transport->path_count() <= 1) return;
+  if (!placement_ || rig.transport->server_count() <= 1) return;
   const std::uint64_t rejections =
       rig.device->offload_client().stats().admission_rejections;
   if (rejections <= rig.admission_rejections_seen) return;
   rig.admission_rejections_seen = rejections;
   const std::size_t current = rig.transport->active();
   const std::size_t next = placement_->on_rejection(
-      rig.index, current, rig.transport->path_count(), rejections);
-  if (next != current && next < rig.transport->path_count()) {
+      rig.index, current, rig.transport->server_count(), rejections);
+  if (next != current && next < rig.transport->server_count()) {
     rig.transport->set_active(next);
   }
 }

@@ -1,7 +1,24 @@
 #include "ff/core/scenario.h"
 
+#include <sstream>
+#include <stdexcept>
+
 namespace ff::core {
 namespace {
+
+[[noreturn]] void reject(const std::string& field, double value,
+                         const char* rule) {
+  std::ostringstream msg;
+  msg << "Scenario: " << field << " = " << value << " must be " << rule;
+  throw std::invalid_argument(msg.str());
+}
+
+void check_bandwidth(const net::LinkConditions& c, const std::string& field) {
+  if (!(c.bandwidth.bits_per_second > 0.0)) {
+    reject(field + ".bandwidth (bit/s)", c.bandwidth.bits_per_second,
+           "> 0");
+  }
+}
 
 [[nodiscard]] device::DeviceConfig make_pi(std::string name,
                                            models::DeviceId profile) {
@@ -31,6 +48,28 @@ std::size_t Scenario::add_device(device::DeviceConfig config) {
 
 void Scenario::set_frame_spec(const models::FrameSpec& spec) {
   for (auto& d : devices) d.frame = spec;
+}
+
+void Scenario::validate() const {
+  if (devices.empty()) {
+    throw std::invalid_argument("Scenario: devices is empty");
+  }
+  if (duration <= 0) reject("duration (s)", sim_to_seconds(duration), "> 0");
+  for (const auto& d : devices) {
+    if (!(d.source_fps > 0.0)) {
+      reject("device '" + d.name + "' source_fps", d.source_fps, "> 0");
+    }
+    if (d.deadline <= 0) {
+      reject("device '" + d.name + "' deadline (s)",
+             sim_to_seconds(d.deadline), "> 0");
+    }
+  }
+  check_bandwidth(uplink_template.initial, "uplink_template.initial");
+  check_bandwidth(downlink_template.initial, "downlink_template.initial");
+  for (std::size_t i = 0; i < network.phases().size(); ++i) {
+    check_bandwidth(network.phases()[i].conditions,
+                    "network phase " + std::to_string(i));
+  }
 }
 
 Scenario Scenario::paper_network(Bandwidth bandwidth_unit) {

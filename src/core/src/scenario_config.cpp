@@ -35,6 +35,41 @@ std::string known_scenario_names() {
          "paper_combined, mixed_models";
 }
 
+std::vector<std::string> config_keys() {
+  return {"scenario",
+          "bandwidth_unit_mbps",
+          "seed",
+          "duration_s",
+          "shared_medium",
+          "medium_groups",
+          "partitions",
+          "partition_threads",
+          "devices",
+          "device.profile",
+          "device.model",
+          "device.fps",
+          "device.deadline_ms",
+          "device.frame_limit",
+          "device.width",
+          "device.height",
+          "device.quality",
+          "net.bandwidth_mbps",
+          "net.loss",
+          "net.delay_ms",
+          "load.rate",
+          "fleet.servers",
+          "fleet.admission.policy",
+          "fleet.admission.rate",
+          "fleet.admission.burst",
+          "fleet.admission.queue_limit",
+          "controller",
+          "controller.kp",
+          "controller.kd",
+          "controller.ki",
+          "controller.rate",
+          "controller.capacity_fps"};
+}
+
 std::string known_controller_names() {
   return "frame-feedback, local-only, always-offload, all-or-nothing, aimd, "
          "quality-adapt, fixed, reservation";

@@ -40,6 +40,11 @@ class Config {
                                      std::int64_t fallback) const;
   [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const;
 
+  /// Throws std::invalid_argument naming the first key that is not in
+  /// `known`, with the nearest known key as a suggestion ("did you mean
+  /// 'devices'?"): a typo'd key fails instead of running the defaults.
+  void reject_unknown_keys(const std::vector<std::string>& known) const;
+
   [[nodiscard]] const std::map<std::string, std::string>& entries() const {
     return values_;
   }

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <fstream>
 #include <stdexcept>
+#include <vector>
 
 namespace ff {
 namespace {
@@ -35,6 +36,24 @@ template <class Parse>
     // std::invalid_argument / std::out_of_range: reported below.
   }
   throw_unparsed(key, value, type);
+}
+
+/// Levenshtein distance: single-character inserts, deletes, substitutions.
+[[nodiscard]] std::size_t edit_distance(const std::string& a,
+                                        const std::string& b) {
+  std::vector<std::size_t> row(b.size() + 1);
+  for (std::size_t j = 0; j <= b.size(); ++j) row[j] = j;
+  for (std::size_t i = 1; i <= a.size(); ++i) {
+    std::size_t diagonal = row[0];
+    row[0] = i;
+    for (std::size_t j = 1; j <= b.size(); ++j) {
+      const std::size_t above = row[j];
+      row[j] = std::min({above + 1, row[j - 1] + 1,
+                         diagonal + (a[i - 1] == b[j - 1] ? 0 : 1)});
+      diagonal = above;
+    }
+  }
+  return row[b.size()];
 }
 
 }  // namespace
@@ -128,6 +147,23 @@ bool Config::get_bool(const std::string& key, bool fallback) const {
   if (s == "1" || s == "true" || s == "yes" || s == "on") return true;
   if (s == "0" || s == "false" || s == "no" || s == "off") return false;
   throw_unparsed(key, *v, "boolean");
+}
+
+void Config::reject_unknown_keys(const std::vector<std::string>& known) const {
+  for (const auto& entry : values_) {
+    const std::string& key = entry.first;
+    if (std::find(known.begin(), known.end(), key) != known.end()) continue;
+    std::string message = "Config: unknown key '" + key + "'";
+    const auto nearest = std::min_element(
+        known.begin(), known.end(),
+        [&key](const std::string& a, const std::string& b) {
+          return edit_distance(key, a) < edit_distance(key, b);
+        });
+    if (nearest != known.end()) {
+      message += "; did you mean '" + *nearest + "'?";
+    }
+    throw std::invalid_argument(message);
+  }
 }
 
 }  // namespace ff

@@ -149,6 +149,28 @@ TEST(ControllerConfig, ReservationControllersShareOneManager) {
   EXPECT_DOUBLE_EQ(a->update(in), 20.25);
 }
 
+/// Every listed key is really read: an unparseable value under it (with
+/// the controller or admission policy that reads it selected) throws. A
+/// listed key nobody reads would silently accept typo-free garbage.
+TEST(ScenarioConfig, EveryListedKeyIsRead) {
+  for (const std::string& key : config_keys()) {
+    Config c;
+    if (key == "controller.rate") c.set("controller", "fixed");
+    if (key == "controller.capacity_fps") c.set("controller", "reservation");
+    if (key.rfind("fleet.admission.", 0) == 0) {
+      c.set("fleet.admission.policy", "token-bucket");
+    }
+    c.set(key, "x?");
+    EXPECT_THROW(
+        {
+          (void)scenario_from_config(c);
+          (void)controller_factory_from_config(c);
+        },
+        std::invalid_argument)
+        << key;
+  }
+}
+
 TEST(ScenarioConfig, EndToEndRunFromConfig) {
   Config c = make_config({{"scenario", "ideal"},
                           {"duration_s", "10"},

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace ff::core {
 namespace {
 
@@ -70,6 +73,45 @@ TEST(Scenario, SetFrameSpecAppliesToAll) {
   const models::FrameSpec spec{320, 320, 60};
   s.set_frame_spec(spec);
   for (const auto& d : s.devices) EXPECT_EQ(d.frame, spec);
+}
+
+TEST(Scenario, ValidateRejectsNonPositiveRanges) {
+  const auto expect_rejected = [](Scenario s, const std::string& field) {
+    try {
+      s.validate();
+      FAIL() << field << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  EXPECT_NO_THROW(Scenario::ideal().validate());
+  EXPECT_NO_THROW(Scenario::paper_combined().validate());
+
+  Scenario s = Scenario::ideal();
+  s.duration = -kSecond;
+  expect_rejected(s, "duration");
+  s = Scenario::ideal();
+  s.duration = 0;
+  expect_rejected(s, "duration");
+  s = Scenario::ideal();
+  s.devices[0].source_fps = -5.0;
+  expect_rejected(s, "source_fps");
+  s = Scenario::ideal();
+  s.devices[0].deadline = 0;
+  expect_rejected(s, "deadline");
+  s = Scenario::ideal();
+  s.uplink_template.initial.bandwidth = Bandwidth::mbps(-1.0);
+  expect_rejected(s, "uplink_template.initial.bandwidth");
+  s = Scenario::ideal();
+  s.downlink_template.initial.bandwidth = Bandwidth{0.0};
+  expect_rejected(s, "downlink_template.initial.bandwidth");
+  s = Scenario::paper_network();
+  s.network.add(200 * kSecond, {Bandwidth{0.0}, 0.0, kMillisecond});
+  expect_rejected(s, "network phase 6.bandwidth");
+  s = Scenario::ideal();
+  s.devices.clear();
+  expect_rejected(s, "devices");
 }
 
 TEST(Scenario, LinkTemplatesTrackInitialConditions) {

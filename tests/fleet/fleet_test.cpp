@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "ff/control/baselines.h"
@@ -87,6 +88,55 @@ TEST(Fleet, DeterminismMatrixAcrossServersPartitionsThreads) {
         EXPECT_EQ(reference, fingerprint(fleet_scenario(42, m), k, threads))
             << "M=" << m << " K=" << k << " threads=" << threads;
       }
+    }
+  }
+}
+
+/// Without a placement policy a device can only ever use its build-time
+/// server, so only that path is built. Static placement places the same
+/// way (round-robin) and never re-homes, but builds all M paths: the two
+/// runs must agree on every result field, and differ in events only by
+/// the t = phase-start netem events of the unbuilt links.
+TEST(Fleet, UnreachablePathsAreNotBuilt) {
+  constexpr std::size_t kServers = 4;
+  const auto factory =
+      core::make_controller_factory<control::FrameFeedbackController>();
+  for (const std::size_t k : {std::size_t{0}, std::size_t{4}}) {
+    for (const unsigned threads : {1u, 2u}) {
+      Scenario sparse = fleet_scenario(42, kServers);
+      sparse.fleet.placement = nullptr;
+      sparse.partitions = k;
+      sparse.partition_threads = threads;
+      Scenario dense = sparse;
+      dense.fleet.placement = static_placement();
+      const std::size_t devices = sparse.devices.size();
+      const std::size_t phases = sparse.network.phases().size();
+      ASSERT_EQ(phases, 2u);
+
+      core::Experiment sparse_run(sparse, factory);
+      for (std::size_t i = 0; i < devices; ++i) {
+        core::FleetOffloadTransport& t = sparse_run.fleet_transport(i);
+        ASSERT_EQ(t.server_count(), kServers);
+        const std::size_t home = sparse_run.assigned_server(i);
+        EXPECT_EQ(home, i % kServers);
+        for (std::size_t srv = 0; srv < kServers; ++srv) {
+          EXPECT_EQ(t.has_path(srv), srv == home) << "device " << i;
+          if (srv == home) continue;
+          EXPECT_THROW((void)t.path(srv), std::out_of_range);
+          EXPECT_THROW(t.set_active(srv), std::out_of_range);
+        }
+        EXPECT_EQ(t.active(), home);
+      }
+      ExperimentResult a = sparse_run.run();
+      ExperimentResult b = run_experiment(dense, factory);
+
+      EXPECT_EQ(b.events_executed - a.events_executed,
+                2 * devices * (kServers - 1) * phases)
+          << "K=" << k << " threads=" << threads;
+      a.events_executed = 0;
+      b.events_executed = 0;
+      EXPECT_EQ(sweep::result_fingerprint(a), sweep::result_fingerprint(b))
+          << "K=" << k << " threads=" << threads;
     }
   }
 }

@@ -138,6 +138,22 @@ TEST(Config, FromFileWithCommentsAndWhitespace) {
   std::remove(path.c_str());
 }
 
+TEST(Config, UnknownKeyThrowsWithNearestSuggestion) {
+  const char* argv[] = {"prog", "devices=4", "devcies=4"};
+  const Config c = Config::from_args(3, argv);
+  try {
+    c.reject_unknown_keys({"devices", "duration_s", "seed"});
+    FAIL() << "devcies was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'devcies'"), std::string::npos) << what;
+    EXPECT_NE(what.find("did you mean 'devices'?"), std::string::npos)
+        << what;
+  }
+  EXPECT_NO_THROW(c.reject_unknown_keys({"devices", "devcies"}));
+  EXPECT_NO_THROW(Config{}.reject_unknown_keys({}));
+}
+
 TEST(Config, FromFileMissingThrows) {
   EXPECT_THROW(Config::from_file("/no/such/file.cfg"), std::runtime_error);
 }
