@@ -1,8 +1,8 @@
 // Micro-benchmarks for the partitioned DES kernel: the same multi-device
-// experiment executed at K = 0 (direct link scheduling on one partition)
-// and K = 1, 2, 4, 8 partitions, with events/s as the headline. The
-// scaling claim this backs: >= 2x events/s at K=4 over K=1; K=1 over K=0
-// is the cost of routing every link through a boundary edge. A
+// experiment executed at K = 0 (an alias for K = 1) and K = 1, 2, 4, 8
+// partitions, with events/s as the headline. The scaling claim this
+// backs: >= 2x events/s at K=4 over K=1; K=1 over K=0 should read ~1.0,
+// since both run one partition with no boundary edges. A
 // fleet-shaped experiment (1024 devices, 16 servers) reports the same
 // ratios on the ROADMAP ladder's 1k rung. A synthetic kernel-only
 // benchmark isolates window/barrier overhead from experiment entity costs.

@@ -150,7 +150,7 @@ class Experiment {
   [[nodiscard]] sim::Simulator& simulator() { return psim_.partition(0); }
 
   /// The kernel driver; never null. Scenario::partitions == 0 runs it with
-  /// one partition and no boundary edges.
+  /// one partition, exactly as 1 does.
   [[nodiscard]] sim::PartitionedSimulator* partitioned_simulator() {
     return &psim_;
   }
@@ -205,9 +205,9 @@ class Experiment {
   [[nodiscard]] NetworkedTransportConfig path_config(
       std::size_t device_index, const device::DeviceConfig& dconf,
       std::size_t server_index) const;
-  /// Wires the fleet onto the kernel's partitions. Only K >= 1 checks the
-  /// lookahead floor and binds links to boundary edges, after all entities
-  /// exist; K = 0 schedules link deliveries directly on its one partition.
+  /// Wires the fleet onto the kernel's partitions, numbering every link
+  /// in creation order and binding only the links that cross partitions
+  /// to boundary edges.
   void build();
   void control_tick(DeviceRig& rig);
   void maybe_rehome(DeviceRig& rig);

@@ -40,13 +40,11 @@ struct Scenario {
   std::size_t uplink_medium_groups{1};
 
   /// Partitions of the sim::PartitionedSimulator the run executes on.
-  /// K >= 1 shards the entity graph into K partitions (server plus
-  /// per-device-group shards) advanced in conservative time windows, with
-  /// every link delivery routed through a boundary edge; results are
-  /// bit-identical for every K >= 1 and every thread count. 0 runs one
-  /// partition and schedules link deliveries directly, so a delivery that
-  /// ties with another event at the same timestamp may run in a different
-  /// order than at K >= 1; compare fingerprints within one mode only.
+  /// K >= 2 shards the entity graph into K partitions (server plus
+  /// per-device-group shards) advanced in conservative time windows; links
+  /// that cross partitions post through boundary edges. 0 is an alias for
+  /// 1: one partition, no edges, one window. Results are bit-identical for
+  /// every value and every thread count.
   std::size_t partitions{0};
   /// Worker threads for partitioned windows: 0 = one per partition
   /// (hardware-capped), 1 = serial. No effect on results.
@@ -106,11 +104,14 @@ struct Scenario {
   void set_frame_spec(const models::FrameSpec& spec);
 
   /// Range checks owned by the scenario, run by Experiment before it builds
-  /// anything: at least one device, a positive duration, positive device
-  /// source_fps and deadline, and positive bandwidth on both link templates
-  /// and every netem phase. Throws std::invalid_argument naming the
-  /// offending field and value. (Loss probabilities are already checked
-  /// where they are set: NetemSchedule::add and the Link constructor.)
+  /// anything: at least one device, a positive duration and deadline,
+  /// positive bandwidth and non-negative propagation delay on both link
+  /// templates and every netem phase, a batch limit >= 1 on every server,
+  /// and device source_fps in (0, 1e6] and background-load rates in
+  /// [0, 1e6] (a faster rate's period rounds to zero SimTime ticks). NaN
+  /// fails every rule. Throws std::invalid_argument naming the offending
+  /// field and value. (Loss probabilities are already checked where they
+  /// are set: NetemSchedule::add and the Link constructor.)
   void validate() const;
 };
 

@@ -34,7 +34,7 @@ double ExperimentResult::total_mean_throughput() const {
 Experiment::Experiment(Scenario scenario, ControllerFactory controllers)
     : scenario_(std::move(scenario)),
       factory_(std::move(controllers)),
-      // K = 0 runs on one partition, like K = 1 (see build()).
+      // K = 0 is an alias for K = 1.
       psim_(scenario_.seed, {std::max<std::size_t>(scenario_.partitions, 1),
                              scenario_.partition_threads}) {
   scenario_.validate();
@@ -141,6 +141,28 @@ void Experiment::build() {
     }
   }
 
+  // Every link gets its creation index as its delivery id, in the same
+  // order at every K, so each receiver sees one delivery order for any K.
+  // Only a link whose ends sit on different partitions posts through a
+  // boundary edge. Its lookahead is the floor of every propagation delay
+  // the run can configure: the netem phases and both link templates.
+  const SimDuration floor = std::min(
+      {scenario_.network.min_propagation_delay(),
+       scenario_.uplink_template.initial.propagation_delay,
+       scenario_.downlink_template.initial.propagation_delay});
+  std::uint32_t next_link_id = 0;
+  const auto bind = [&](net::Link& link, std::size_t from, std::size_t to) {
+    link.set_delivery_id(next_link_id++);
+    if (from == to) return;
+    if (floor <= 0) {
+      throw std::invalid_argument(
+          "Experiment: links across partitions require a strictly positive "
+          "propagation delay on every link and netem phase (the "
+          "conservative lookahead); this scenario's minimum is zero");
+    }
+    link.bind_boundary(&psim_.add_edge(from, to, floor));
+  };
+
   for (std::size_t i = 0; i < scenario_.devices.size(); ++i) {
     const auto& dconf = scenario_.devices[i];
     auto rig = std::make_unique<DeviceRig>();
@@ -166,6 +188,8 @@ void Experiment::build() {
       // keeps the event count independent of the partition count.
       scenario_.network.apply(fwd);
       scenario_.network.apply(rev);
+      bind(fwd, rig->partition, s % parts);
+      bind(rev, s % parts, rig->partition);
       if (!uplink_media_.empty()) {
         // The AP is on the device side: every server path of this device
         // contends on the device group's medium.
@@ -192,37 +216,6 @@ void Experiment::build() {
     rigs_.push_back(std::move(rig));
   }
 
-  // K = 0 schedules link deliveries directly on its one partition. K >= 1
-  // routes each link through a boundary edge from its sender's partition
-  // to its receiver's; self-edges (device co-partitioned with the server)
-  // still route through the mailbox so the delivery order contract is
-  // identical at every K >= 1.
-  if (scenario_.partitions > 0) {
-    // Lookahead floor: no delivery crosses a link faster than the minimum
-    // propagation delay the run can ever configure -- the netem schedule's
-    // floor folded with the link templates' initial conditions.
-    SimDuration floor = scenario_.network.min_propagation_delay();
-    floor =
-        std::min(floor, scenario_.uplink_template.initial.propagation_delay);
-    floor = std::min(floor,
-                     scenario_.downlink_template.initial.propagation_delay);
-    if (floor <= 0) {
-      throw std::invalid_argument(
-          "Experiment: partitioned execution requires a strictly positive "
-          "propagation delay on every link and netem phase (the "
-          "conservative lookahead); this scenario's minimum is zero");
-    }
-    for (const auto& rig : rigs_) {
-      for (std::size_t s = 0; s < rig->transport->server_count(); ++s) {
-        if (!rig->transport->has_path(s)) continue;
-        net::DuplexPath& path = rig->transport->path(s).path();
-        path.forward_link().bind_boundary(
-            &psim_.add_edge(rig->partition, s % parts, floor));
-        path.reverse_link().bind_boundary(
-            &psim_.add_edge(s % parts, rig->partition, floor));
-      }
-    }
-  }
 }
 
 void Experiment::set_trace_sink(obs::TraceSink* sink) {

@@ -13,10 +13,41 @@ namespace {
   throw std::invalid_argument(msg.str());
 }
 
-void check_bandwidth(const net::LinkConditions& c, const std::string& field) {
+void check_link(const net::LinkConditions& c, const std::string& field) {
   if (!(c.bandwidth.bits_per_second > 0.0)) {
     reject(field + ".bandwidth (bit/s)", c.bandwidth.bits_per_second,
            "> 0");
+  }
+  if (c.propagation_delay < 0) {
+    reject(field + ".propagation_delay (s)",
+           sim_to_seconds(c.propagation_delay), ">= 0");
+  }
+}
+
+/// Fastest rate the kernel can represent: one event per SimTime tick. A
+/// faster rate's period rounds to zero and stalls the clock.
+constexpr double kMaxRate = static_cast<double>(kSecond);
+
+void check_rate(double per_second, const std::string& field,
+                bool zero_ok) {
+  // Written so that NaN, which fails every comparison, is rejected.
+  if (!((zero_ok ? per_second >= 0.0 : per_second > 0.0) &&
+        per_second <= kMaxRate)) {
+    reject(field, per_second, zero_ok ? "in [0, 1e6]" : "in (0, 1e6]");
+  }
+}
+
+void check_server(const server::ServerConfig& config,
+                  const server::LoadSchedule& load,
+                  const std::string& field) {
+  if (config.batch_limit < 1) {
+    reject(field + ".batch_limit", config.batch_limit, ">= 1");
+  }
+  for (std::size_t i = 0; i < load.phases().size(); ++i) {
+    check_rate(load.phases()[i].rate.per_second,
+               field + " background load phase " + std::to_string(i) +
+                   " rate (1/s)",
+               true);
   }
 }
 
@@ -56,19 +87,22 @@ void Scenario::validate() const {
   }
   if (duration <= 0) reject("duration (s)", sim_to_seconds(duration), "> 0");
   for (const auto& d : devices) {
-    if (!(d.source_fps > 0.0)) {
-      reject("device '" + d.name + "' source_fps", d.source_fps, "> 0");
-    }
+    check_rate(d.source_fps, "device '" + d.name + "' source_fps", false);
     if (d.deadline <= 0) {
       reject("device '" + d.name + "' deadline (s)",
              sim_to_seconds(d.deadline), "> 0");
     }
   }
-  check_bandwidth(uplink_template.initial, "uplink_template.initial");
-  check_bandwidth(downlink_template.initial, "downlink_template.initial");
+  check_link(uplink_template.initial, "uplink_template.initial");
+  check_link(downlink_template.initial, "downlink_template.initial");
   for (std::size_t i = 0; i < network.phases().size(); ++i) {
-    check_bandwidth(network.phases()[i].conditions,
-                    "network phase " + std::to_string(i));
+    check_link(network.phases()[i].conditions,
+               "network phase " + std::to_string(i));
+  }
+  check_server(server, background_load, "server");
+  for (std::size_t s = 0; s < fleet.servers.size(); ++s) {
+    check_server(fleet.servers[s].config, fleet.servers[s].background_load,
+                 "fleet server " + std::to_string(s));
   }
 }
 

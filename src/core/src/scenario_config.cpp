@@ -1,5 +1,6 @@
 #include "ff/core/scenario_config.h"
 
+#include <cmath>
 #include <memory>
 #include <stdexcept>
 
@@ -26,6 +27,22 @@ namespace {
   if (name == "mixed_models") return Scenario::mixed_models();
   throw std::invalid_argument("unknown scenario '" + name + "'; known: " +
                               known_scenario_names());
+}
+
+/// `key`, a time in units of 1/`per_second` s, as a SimDuration. NaN,
+/// infinities and times beyond ~31 years have no SimDuration (the cast
+/// would be undefined), so they are rejected here, naming the key; sign
+/// rules are Scenario::validate()'s.
+[[nodiscard]] SimDuration get_duration(const Config& config,
+                                       const std::string& key,
+                                       double per_second) {
+  const double seconds = config.get_double(key, 0.0) / per_second;
+  if (!(std::abs(seconds) < 1e9)) {
+    throw std::invalid_argument("Config: " + key + "=" +
+                                config.get_string(key, "") +
+                                " is not a valid duration");
+  }
+  return seconds_to_sim(seconds);
 }
 
 }  // namespace
@@ -82,7 +99,7 @@ Scenario scenario_from_config(const Config& config) {
   s.seed = static_cast<std::uint64_t>(
       config.get_int("seed", static_cast<std::int64_t>(s.seed)));
   if (config.has("duration_s")) {
-    s.duration = seconds_to_sim(config.get_double("duration_s", 0));
+    s.duration = get_duration(config, "duration_s", 1.0);
   }
   s.shared_uplink_medium = config.get_bool("shared_medium",
                                            s.shared_uplink_medium);
@@ -120,8 +137,7 @@ Scenario scenario_from_config(const Config& config) {
     }
     d.source_fps = config.get_double("device.fps", d.source_fps);
     if (config.has("device.deadline_ms")) {
-      d.deadline = seconds_to_sim(config.get_double("device.deadline_ms",
-                                                    250) / 1000.0);
+      d.deadline = get_duration(config, "device.deadline_ms", 1000.0);
     }
     d.frame_limit = static_cast<std::uint64_t>(
         config.get_int("device.frame_limit",
@@ -142,8 +158,9 @@ Scenario scenario_from_config(const Config& config) {
     c.bandwidth = Bandwidth::mbps(config.get_double("net.bandwidth_mbps",
                                                     10.0));
     c.loss_probability = config.get_double("net.loss", 0.0);
-    c.propagation_delay = seconds_to_sim(config.get_double("net.delay_ms",
-                                                           2.0) / 1000.0);
+    if (config.has("net.delay_ms")) {
+      c.propagation_delay = get_duration(config, "net.delay_ms", 1000.0);
+    }
     s.network = net::NetemSchedule::constant(c);
     s.uplink_template.initial = c;
     s.downlink_template.initial = c;

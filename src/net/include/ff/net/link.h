@@ -60,17 +60,16 @@ struct LinkStats {
 ///
 ///  - Serialization is strictly FIFO per link; within one link, packets
 ///    enter service in send() order and no packet overtakes another.
-///  - Packets that complete service at the same simulated time are
-///    delivered in the kernel's (time, sequence) order, i.e. the order
-///    their delivery events were scheduled -- which is serialization
-///    completion order. No tie is ever broken by wall-clock, pointer
-///    value, or container iteration order.
-///  - When the link crosses a partition boundary (bind_boundary), the
-///    delivery is routed through the edge's mailbox instead of being
-///    scheduled directly; the partitioned driver re-establishes the same
-///    (deliver time, post time, edge, FIFO) order canonically, so the
-///    receiver observes an identical delivery sequence at every
-///    partition count.
+///  - Every delivery carries a sim::DeliveryKey (deliver time, post time,
+///    link id, per-link FIFO number) and runs in that order at the
+///    receiver, after the receiver's internal events of the same
+///    timestamp. No tie is ever broken by wall-clock, pointer value,
+///    container iteration order or partition count.
+///  - A link whose receiver lives on another partition (bind_boundary)
+///    posts the delivery through the edge's mailbox under the same key;
+///    any other link inserts it into its own simulator's delivery queue.
+///    The receiver therefore observes an identical delivery sequence at
+///    every partition count.
 class Link {
  public:
   using DeliveryFn = std::function<void(const Packet&)>;
@@ -112,6 +111,12 @@ class Link {
   /// Attaches a trace sink for drop/loss/purge events (nullptr detaches).
   /// Not owned.
   void attach_trace_sink(obs::TraceSink* sink) { sink_ = sink; }
+
+  /// Sets this link's id in the delivery order (sim::DeliveryKey::link).
+  /// Links that deliver to one simulator need distinct ids; Experiment
+  /// numbers its links in creation order, which is the same at every
+  /// partition count. Defaults to 0.
+  void set_delivery_id(std::uint32_t id) { delivery_id_ = id; }
 
   /// Routes deliveries through a cross-partition mailbox instead of the
   /// home simulator (nullptr restores direct scheduling). The edge's
@@ -173,6 +178,8 @@ class Link {
       queued_data_;
   bool busy_{false};
   SharedMedium* medium_{nullptr};
+  std::uint32_t delivery_id_{0};
+  std::uint64_t next_fifo_{0};
   sim::BoundaryEdge* boundary_{nullptr};
   LinkStats stats_;
   obs::TraceSink* sink_{nullptr};

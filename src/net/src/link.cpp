@@ -154,16 +154,14 @@ void Link::finish_service(Packet packet) {
   SimDuration delay = conditions_.propagation_delay;
   if (jitter_) delay += jitter_->sample(rng_);
   const SimTime deliver_at = sim_.now() + std::max<SimDuration>(delay, 0);
+  const sim::DeliveryKey key{deliver_at, sim_.now(), next_fifo_++,
+                             delivery_id_};
+  auto action = [this, packet, deliver_at] { deliver(packet, deliver_at); };
   if (boundary_ != nullptr) {
-    boundary_->post(sim_.now(), deliver_at,
-                    sim::InlineTask([this, packet, deliver_at] {
-                      deliver(packet, deliver_at);
-                    }));
-    return;
+    boundary_->post(key, sim::InlineTask(std::move(action)));
+  } else {
+    sim_.schedule_delivery(key, std::move(action));
   }
-  sim_.schedule_at(deliver_at, [this, packet, deliver_at] {
-    deliver(packet, deliver_at);
-  });
 }
 
 void Link::deliver(const Packet& packet, SimTime deliver_at) {

@@ -28,13 +28,13 @@
 // (time, sequence) order is a strict total order, so it is independent of
 // heap arity and internal layout.
 //
-// The 40-bit sequence space is split into two bands. Internal events --
-// everything scheduled through schedule() -- draw monotonically from
-// [0, kExternalSequenceBase). Cross-partition deliveries injected by
-// sim::PartitionedSimulator carry caller-assigned sequences in
-// [kExternalSequenceBase, 2^40): at equal timestamps every internal event
-// therefore sorts before every delivery, and the driver's global
-// assignment order -- not thread scheduling -- decides delivery order.
+// Link deliveries live in a second heap, ordered by DeliveryKey
+// (deliver_at, post_time, link id, per-link FIFO number); their tasks
+// share the slab. pop() merges the two heaps: at equal timestamps every
+// internal event runs before every delivery. No field of the key depends
+// on how a run is partitioned, so a receiver sees one delivery order at
+// every partition count (sim::PartitionedSimulator only moves deliveries
+// between partitions, it never renumbers them).
 //
 // Hot-path members are defined inline here: the per-event cost is a few
 // dozen nanoseconds, so a cross-TU call boundary per pop would be a
@@ -43,7 +43,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <limits>
 #include <new>
+#include <tuple>
 #include <vector>
 
 #include "ff/sim/inline_task.h"
@@ -58,12 +60,27 @@ struct EventId {
   friend constexpr bool operator==(EventId, EventId) = default;
 };
 
-/// An event ready for execution.
+/// An event ready for execution. `sequence` is the scheduling sequence of
+/// an internal event, or kDeliveryTag | link id for a link delivery.
 struct Event {
   SimTime time{0};
   std::uint64_t sequence{0};
-  EventId id{};
   InlineTask action;
+};
+
+/// Marks a link delivery in the sequence an observer sees.
+inline constexpr std::uint64_t kDeliveryTag = std::uint64_t{1} << 63;
+
+/// Order key of a link delivery: at one receiver, deliveries run in
+/// ascending (deliver_at, post_time, link, fifo), after the internal
+/// events of the same timestamp. `link` is the sending link's creation
+/// index and `fifo` counts that link's deliveries, so the key is unique
+/// per receiver.
+struct DeliveryKey {
+  SimTime deliver_at{0};
+  SimTime post_time{0};
+  std::uint64_t fifo{0};
+  std::uint32_t link{0};
 };
 
 class EventQueue {
@@ -91,19 +108,20 @@ class EventQueue {
   /// Schedules an already-built task at absolute time `t`.
   EventId schedule(SimTime t, InlineTask action);
 
-  /// First sequence of the external band (see the ordering note above).
-  /// Internal sequences assert they stay below it; external ones assert
-  /// they stay inside it.
-  static constexpr std::uint64_t kExternalSequenceBase = std::uint64_t{1}
-      << 39;
+  /// Queues a link delivery under `key`, constructing the callable in the
+  /// slab. Deliveries cannot be cancelled.
+  template <class F,
+            class = std::enable_if_t<
+                !std::is_same_v<std::decay_t<F>, InlineTask> &&
+                std::is_invocable_r_v<void, std::decay_t<F>&>>>
+  void schedule_delivery(const DeliveryKey& key, F&& action) {
+    const std::uint32_t slot = acquire_slot();
+    slot_at(slot).task.emplace(std::forward<F>(action));
+    push_delivery(key, slot);
+  }
 
-  /// Schedules `action` at `t` under a caller-assigned sequence from the
-  /// external band. The caller owns uniqueness (the partitioned driver
-  /// assigns from one global counter) and ordering: at equal `t`, events
-  /// compare by sequence, so externals run after all internal events of
-  /// that timestamp, in assignment order.
-  EventId schedule_external(SimTime t, std::uint64_t sequence,
-                            InlineTask action);
+  /// Queues an already-built delivery task under `key`.
+  void schedule_delivery(const DeliveryKey& key, InlineTask action);
 
   /// Cancels the event, releasing its callable immediately. Returns false
   /// if the id is unknown, already executed, or already cancelled.
@@ -116,45 +134,58 @@ class EventQueue {
     return true;
   }
 
-  /// True when no live events remain.
-  [[nodiscard]] bool empty() const { return heap_.empty(); }
-
-  [[nodiscard]] std::size_t size() const { return heap_.size(); }
-
-  /// Time of the earliest live event; only valid when !empty().
-  [[nodiscard]] SimTime next_time() const {
-    assert(!heap_.empty());
-    return heap_.front().time;
+  /// True when no live events or deliveries remain.
+  [[nodiscard]] bool empty() const {
+    return heap_.empty() && deliveries_.empty();
   }
 
-  /// Removes and returns the earliest live event; only valid when !empty().
+  [[nodiscard]] std::size_t size() const {
+    return heap_.size() + deliveries_.size();
+  }
+
+  /// Time of the earliest live event or delivery; only valid when
+  /// !empty().
+  [[nodiscard]] SimTime next_time() const {
+    assert(!empty());
+    return delivery_next() ? deliveries_.front().deliver_at
+                           : heap_.front().time;
+  }
+
+  /// Removes and returns the earliest event; only valid when !empty().
   [[nodiscard]] Event pop() {
-    assert(!heap_.empty());
-    const HeapEntry e = heap_.front();
-    const HeapEntry back = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) sift_down(0, back);
-    const auto slot = static_cast<std::uint32_t>((e.key & kSlotMask) - 1);
-    Slot& s = slot_at(slot);
+    assert(!empty());
     Event out;
-    out.time = e.time;
-    out.sequence = e.key >> kSlotBits;
-    out.id = EventId{e.key};
-    out.action = std::move(s.task);
-    release_slot(slot);
+    visit_pop([&out](SimTime t, std::uint64_t sequence, InlineTask& task) {
+      out.time = t;
+      out.sequence = sequence;
+      out.action = std::move(task);
+    });
     return out;
   }
 
-  /// Pops the earliest event and calls `visit(time, sequence, task)` with
-  /// the task still in its slab slot -- chunked slots never relocate, so
-  /// the callable is executed with zero moves. The event's id is dead for
-  /// the duration of the visit (self-cancel is a no-op, matching pop()),
-  /// and the slot is recycled afterwards even if the visit unwinds. The
-  /// visit may schedule and cancel freely; it must not re-enter pop() or
-  /// visit_pop() on this queue.
+  /// Pops the earliest event if it lies before `before` and calls
+  /// `visit(time, sequence, task)` with the task still in its slab slot --
+  /// chunked slots never relocate, so the callable is executed with zero
+  /// moves. Returns false, popping nothing, when no event lies before
+  /// `before`. The event's id is dead for the duration of the visit
+  /// (self-cancel is a no-op, matching pop()), and the slot is recycled
+  /// afterwards even if the visit unwinds. The visit may schedule and
+  /// cancel freely; it must not re-enter pop() or visit_pop() on this
+  /// queue.
   template <class Visit>
-  void visit_pop(Visit&& visit) {
-    assert(!heap_.empty());
+  bool visit_pop(Visit&& visit,
+                 SimTime before = std::numeric_limits<SimTime>::max()) {
+    if (delivery_next()) {
+      if (deliveries_.front().deliver_at >= before) return false;
+      std::pop_heap(deliveries_.begin(), deliveries_.end(), &later);
+      const DeliveryEntry d = deliveries_.back();
+      deliveries_.pop_back();
+      Slot& s = slot_at(d.slot);
+      const ReleaseGuard guard{this, &s, d.slot};
+      visit(d.deliver_at, kDeliveryTag | d.link, s.task);
+      return true;
+    }
+    if (heap_.empty() || heap_.front().time >= before) return false;
     const HeapEntry e = heap_.front();
     const HeapEntry back = heap_.back();
     heap_.pop_back();
@@ -164,6 +195,7 @@ class EventQueue {
     s.sequence = kFreeSequence;  // id is dead while the action runs
     const ReleaseGuard guard{this, &s, slot};
     visit(e.time, e.key >> kSlotBits, s.task);
+    return true;
   }
 
   /// Drops everything.
@@ -190,6 +222,37 @@ class EventQueue {
   };
   static_assert(sizeof(HeapEntry) == 16,
                 "four children of a 4-ary node must share a cache line");
+
+  /// A DeliveryKey plus its task's slot, packed into 32 bytes. The slot
+  /// only separates deliveries whose senders share a link id (bare links
+  /// keep the default id 0); Experiment's links never tie on it.
+  struct DeliveryEntry {
+    SimTime deliver_at;
+    SimTime post_time;
+    std::uint64_t fifo;
+    std::uint32_t link;
+    std::uint32_t slot;
+  };
+
+  /// std heap order: true when `a` runs after `b`.
+  static bool later(const DeliveryEntry& a, const DeliveryEntry& b) {
+    return std::tie(a.deliver_at, a.post_time, a.link, a.fifo, a.slot) >
+           std::tie(b.deliver_at, b.post_time, b.link, b.fifo, b.slot);
+  }
+
+  /// True when the next event to run is the earliest delivery: at equal
+  /// times internal events run first.
+  [[nodiscard]] bool delivery_next() const {
+    return !deliveries_.empty() &&
+           (heap_.empty() ||
+            deliveries_.front().deliver_at < heap_.front().time);
+  }
+
+  void push_delivery(const DeliveryKey& key, std::uint32_t slot) {
+    deliveries_.push_back(
+        DeliveryEntry{key.deliver_at, key.post_time, key.fifo, key.link, slot});
+    std::push_heap(deliveries_.begin(), deliveries_.end(), &later);
+  }
 
   struct Slot {
     InlineTask task;
@@ -243,12 +306,6 @@ class EventQueue {
 
   EventId push_entry(SimTime t, std::uint32_t slot) {
     const std::uint64_t seq = next_sequence_++;
-    assert(seq < kExternalSequenceBase &&
-           "internal event sequences must stay below the external band");
-    return push_entry_with(t, slot, seq);
-  }
-
-  EventId push_entry_with(SimTime t, std::uint32_t slot, std::uint64_t seq) {
     assert(seq < (std::uint64_t{1} << (64 - kSlotBits)) &&
            "event sequence exceeds the EventId packing range");
     slot_at(slot).sequence = seq;
@@ -334,6 +391,7 @@ class EventQueue {
   std::uint32_t grow_slab();
 
   std::vector<HeapEntry> heap_;
+  std::vector<DeliveryEntry> deliveries_;  ///< min-heap under later()
   // Raw chunk storage: slots are placement-constructed one at a time as the
   // pending set first grows, so a fresh queue never streams init writes
   // over cache lines it is not about to use. slot_count_ is the number of

@@ -8,7 +8,9 @@
 // identical event sequences.
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
+#include <limits>
 #include <string_view>
 #include <utility>
 
@@ -43,14 +45,13 @@ class Simulator {
     return queue_.schedule(std::max(t, now_), std::forward<F>(action));
   }
 
-  /// Schedules a cross-partition delivery at absolute time `t` (clamped to
-  /// >= now) under a caller-assigned sequence from the external band (see
-  /// EventQueue::kExternalSequenceBase). Used by sim::PartitionedSimulator
-  /// when draining boundary mailboxes; not for ordinary scheduling.
-  EventId schedule_external(SimTime t, std::uint64_t sequence,
-                            InlineTask action) {
-    return queue_.schedule_external(std::max(t, now_), sequence,
-                                    std::move(action));
+  /// Queues a link delivery under `key` (see DeliveryKey): it runs at
+  /// key.deliver_at, which must not lie in the past, after every internal
+  /// event of that timestamp.
+  template <class F>
+  void schedule_delivery(const DeliveryKey& key, F&& action) {
+    assert(key.deliver_at >= now_ && "delivery scheduled in the past");
+    queue_.schedule_delivery(key, std::forward<F>(action));
   }
 
   /// Cancels a pending event. Safe to call with stale/executed ids.
@@ -87,9 +88,10 @@ class Simulator {
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
 
   /// Called just before each event's action runs, with the event's (time,
-  /// sequence). A raw function pointer so the unset case is one predictable
-  /// branch on the hot path. Used by determinism golden tests to fingerprint
-  /// the executed event order; nullptr detaches.
+  /// sequence); a link delivery reports kDeliveryTag | link id. A raw
+  /// function pointer so the unset case is one predictable branch on the
+  /// hot path. Used by determinism golden tests to fingerprint the
+  /// executed event order; nullptr detaches.
   using EventObserver = void (*)(void* ctx, SimTime time,
                                  std::uint64_t sequence);
   void set_event_observer(EventObserver observer, void* ctx) {
@@ -98,16 +100,18 @@ class Simulator {
   }
 
  private:
-  /// Pops and runs the earliest event, executing its task in place in the
-  /// queue's slab (zero task moves per event).
-  void execute_next() {
-    queue_.visit_pop(
+  /// Pops and runs the earliest event if it lies before `before`,
+  /// executing its task in place in the queue's slab (zero task moves per
+  /// event). Returns false when no such event is pending.
+  bool execute_next(SimTime before = std::numeric_limits<SimTime>::max()) {
+    return queue_.visit_pop(
         [this](SimTime t, std::uint64_t sequence, InlineTask& task) {
           now_ = t;
           ++executed_;
           if (observer_ != nullptr) observer_(observer_ctx_, t, sequence);
           task();
-        });
+        },
+        before);
   }
 
   EventQueue queue_;

@@ -8,13 +8,11 @@ EventId EventQueue::schedule(SimTime t, InlineTask action) {
   return push_entry(t, slot);
 }
 
-EventId EventQueue::schedule_external(SimTime t, std::uint64_t sequence,
-                                      InlineTask action) {
-  assert(sequence >= kExternalSequenceBase &&
-         "external sequences must come from the external band");
+void EventQueue::schedule_delivery(const DeliveryKey& key,
+                                   InlineTask action) {
   const std::uint32_t slot = acquire_slot();
   slot_at(slot).task = std::move(action);
-  return push_entry_with(t, slot, sequence);
+  push_delivery(key, slot);
 }
 
 EventQueue::~EventQueue() {
@@ -39,13 +37,12 @@ std::uint32_t EventQueue::grow_slab() {
 
 void EventQueue::clear() {
   heap_.clear();
+  deliveries_.clear();
   free_head_ = kNoFreeSlot;
   for (std::uint32_t i = slot_count_; i > 0; --i) {
     Slot& s = slot_at(i - 1);
-    if (s.sequence != kFreeSequence) {
-      s.task.reset();
-      s.sequence = kFreeSequence;
-    }
+    s.task.reset();  // deliveries hold tasks under kFreeSequence
+    s.sequence = kFreeSequence;
     s.next_free = free_head_;
     free_head_ = i - 1;
   }

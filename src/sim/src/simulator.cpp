@@ -6,10 +6,7 @@ Simulator::Simulator(std::uint64_t seed) : root_rng_(seed) {}
 
 std::uint64_t Simulator::run_until(SimTime t_end) {
   std::uint64_t n = 0;
-  while (!queue_.empty() && queue_.next_time() < t_end) {
-    execute_next();
-    ++n;
-  }
+  while (execute_next(t_end)) ++n;
   // Advance the clock to the horizon even if the queue drained early so
   // callers observing now() see a consistent end time.
   now_ = std::max(now_, t_end);
@@ -18,17 +15,10 @@ std::uint64_t Simulator::run_until(SimTime t_end) {
 
 std::uint64_t Simulator::run() {
   std::uint64_t n = 0;
-  while (!queue_.empty()) {
-    execute_next();
-    ++n;
-  }
+  while (execute_next()) ++n;
   return n;
 }
 
-bool Simulator::step() {
-  if (queue_.empty()) return false;
-  execute_next();
-  return true;
-}
+bool Simulator::step() { return execute_next(); }
 
 }  // namespace ff::sim

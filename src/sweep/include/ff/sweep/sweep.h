@@ -39,11 +39,9 @@ struct Axis {
   std::vector<AxisValue> values;
 };
 
-/// Axis over Scenario::partitions ("K=<n>" labels; 0 = one partition
-/// with direct link scheduling). Points with K >= 1 produce identical
-/// fingerprints for every K -- sweeping this axis is the determinism
-/// matrix -- while K = 0 may order same-timestamp link deliveries
-/// differently.
+/// Axis over Scenario::partitions ("K=<n>" labels; 0 runs as 1). Every
+/// point produces the same fingerprint -- sweeping this axis is the
+/// determinism matrix.
 [[nodiscard]] Axis partition_axis(std::vector<std::size_t> counts);
 
 /// Axis over fleet size ("M=<n>" labels): replaces Scenario::fleet with a

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 #include <stdexcept>
+#include <streambuf>
+#include <string>
 #include <vector>
 
 #include "ff/control/frame_feedback.h"
 #include "ff/core/experiment.h"
+#include "ff/obs/trace.h"
 #include "ff/sweep/sweep.h"
 
 namespace ff::core {
@@ -43,15 +47,100 @@ std::uint64_t fingerprint_at(std::uint64_t seed, std::size_t partitions,
   return sweep::result_fingerprint(r);
 }
 
-/// The tentpole acceptance criterion: bit-identical result fingerprints
-/// for every partition count, over several seeds.
+/// Bit-identical result fingerprints for every partition count, K = 0
+/// included, over several seeds.
 TEST(PartitionDeterminism, FingerprintMatrixAcrossPartitionCounts) {
   for (const std::uint64_t seed : {42ull, 7ull, 1234ull}) {
     const std::uint64_t reference = fingerprint_at(seed, 1, 1);
-    for (const std::size_t k : {std::size_t{2}, std::size_t{4},
-                                std::size_t{8}}) {
+    for (const std::size_t k : {std::size_t{0}, std::size_t{2},
+                                std::size_t{4}, std::size_t{8}}) {
       EXPECT_EQ(reference, fingerprint_at(seed, k, 1))
           << "seed " << seed << " K=" << k << " (serial)";
+    }
+  }
+}
+
+/// FNV-1a over every byte written, so a JSONL trace can be compared
+/// without holding it in memory.
+class HashingBuf final : public std::streambuf {
+ public:
+  std::uint64_t hash{0xcbf29ce484222325ull};
+
+ protected:
+  int_type overflow(int_type c) override {
+    if (!traits_type::eq_int_type(c, traits_type::eof())) {
+      mix(traits_type::to_char_type(c));
+    }
+    return c;
+  }
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    for (std::streamsize i = 0; i < n; ++i) mix(s[i]);
+    return n;
+  }
+
+ private:
+  void mix(char c) {
+    hash = (hash ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
+  }
+};
+
+struct FleetRun {
+  std::uint64_t fingerprint{0};
+  std::uint64_t trace_hash{0};
+};
+
+/// 256 devices in 32 shared-medium groups on four servers, a clean
+/// 400 Mbps / 2 ms link, 10 s: enough link deliveries tie at one timestamp
+/// that a K-dependent tie-break shows in the fingerprint.
+FleetRun run_tied_fleet(std::size_t partitions, unsigned threads,
+                        bool traced) {
+  Scenario s = Scenario::ideal(10 * kSecond);
+  s.name = "tied-fleet";
+  s.seed = 1;
+  const device::DeviceConfig proto = s.devices.at(0);
+  s.devices.clear();
+  for (int i = 0; i < 256; ++i) {
+    device::DeviceConfig d = proto;
+    d.name = "dev-" + std::to_string(i);
+    s.add_device(std::move(d));
+  }
+  s.shared_uplink_medium = true;
+  s.uplink_medium_groups = 32;
+  const net::LinkConditions link{Bandwidth::mbps(400.0), 0.0,
+                                 2 * kMillisecond};
+  s.network = net::NetemSchedule::constant(link);
+  s.uplink_template.initial = link;
+  s.downlink_template.initial = link;
+  s.fleet = FleetTopology::uniform(s.server, 4);
+  s.partitions = partitions;
+  s.partition_threads = threads;
+
+  Experiment e(s, make_controller_factory<control::FrameFeedbackController>());
+  HashingBuf buf;
+  std::ostream os(&buf);
+  obs::JsonlTraceSink sink(os);
+  if (traced) e.set_trace_sink(&sink);
+  FleetRun run;
+  run.fingerprint = sweep::result_fingerprint(e.run());
+  sink.flush();
+  run.trace_hash = buf.hash;
+  return run;
+}
+
+/// A fleet where many link deliveries tie gives one fingerprint at every
+/// K and thread count, and one trace at K = 0 and K = 1.
+TEST(PartitionDeterminism, TiedFleetAgreesAcrossKAndThreads) {
+  const FleetRun k0 = run_tied_fleet(0, 1, true);
+  const FleetRun k1 = run_tied_fleet(1, 1, true);
+  EXPECT_EQ(k0.fingerprint, k1.fingerprint);
+  EXPECT_EQ(k0.trace_hash, k1.trace_hash);
+  for (const std::size_t k : {std::size_t{0}, std::size_t{1},
+                              std::size_t{4}}) {
+    for (const unsigned threads : {1u, 2u}) {
+      if (threads == 1 && k <= 1) continue;  // the traced runs above
+      EXPECT_EQ(run_tied_fleet(k, threads, false).fingerprint,
+                k0.fingerprint)
+          << "K=" << k << " threads=" << threads;
     }
   }
 }

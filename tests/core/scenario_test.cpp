@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -75,16 +76,17 @@ TEST(Scenario, SetFrameSpecAppliesToAll) {
   for (const auto& d : s.devices) EXPECT_EQ(d.frame, spec);
 }
 
+void expect_rejected(const Scenario& s, const std::string& field) {
+  try {
+    s.validate();
+    FAIL() << field << " was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Scenario, ValidateRejectsNonPositiveRanges) {
-  const auto expect_rejected = [](Scenario s, const std::string& field) {
-    try {
-      s.validate();
-      FAIL() << field << " was accepted";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
-          << e.what();
-    }
-  };
   EXPECT_NO_THROW(Scenario::ideal().validate());
   EXPECT_NO_THROW(Scenario::paper_combined().validate());
 
@@ -112,6 +114,49 @@ TEST(Scenario, ValidateRejectsNonPositiveRanges) {
   s = Scenario::ideal();
   s.devices.clear();
   expect_rejected(s, "devices");
+}
+
+TEST(Scenario, ValidateRejectsNegativeDelaysBadRatesAndBatchLimits) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Scenario s = Scenario::ideal();
+  s.uplink_template.initial.propagation_delay = -kMillisecond;
+  expect_rejected(s, "uplink_template.initial.propagation_delay");
+  s = Scenario::ideal();
+  s.downlink_template.initial.propagation_delay = -1;
+  expect_rejected(s, "downlink_template.initial.propagation_delay");
+  s = Scenario::paper_network();
+  s.network.add(200 * kSecond, {Bandwidth::mbps(1.0), 0.0, -kMillisecond});
+  expect_rejected(s, "network phase 6.propagation_delay");
+  // A zero delay stays valid: only partitioned runs need a lookahead.
+  s = Scenario::ideal();
+  s.network = net::NetemSchedule::constant({Bandwidth::mbps(10.0), 0.0, 0});
+  s.uplink_template.initial.propagation_delay = 0;
+  s.downlink_template.initial.propagation_delay = 0;
+  EXPECT_NO_THROW(s.validate());
+
+  for (const double rate : {-5.0, nan, 1e300}) {
+    s = Scenario::paper_server_load();
+    s.background_load = server::LoadSchedule::constant(Rate{rate});
+    expect_rejected(s, "server background load phase 0 rate");
+    s = Scenario::ideal();
+    s.fleet = FleetTopology::uniform(s.server, 3);
+    s.fleet.servers[2].background_load.add(kSecond, Rate{rate});
+    expect_rejected(s, "fleet server 2 background load phase 0 rate");
+    s = Scenario::ideal();
+    s.devices[0].source_fps = rate;
+    expect_rejected(s, "source_fps");
+  }
+  s = Scenario::paper_server_load();
+  s.background_load = server::LoadSchedule::constant(Rate{0.0});
+  EXPECT_NO_THROW(s.validate());
+
+  s = Scenario::ideal();
+  s.server.batch_limit = 0;
+  expect_rejected(s, "server.batch_limit");
+  s = Scenario::ideal();
+  s.fleet = FleetTopology::uniform(s.server, 2);
+  s.fleet.servers[1].config.batch_limit = -3;
+  expect_rejected(s, "fleet server 1.batch_limit");
 }
 
 TEST(Scenario, LinkTemplatesTrackInitialConditions) {

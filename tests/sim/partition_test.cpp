@@ -186,6 +186,76 @@ TEST(PartitionedSimulator, CanonicalDrainOrderUnderAdversarialTimestamps) {
   EXPECT_EQ(log, cross);
 }
 
+/// The sending end of one link, as Link wires it: a delivery id and a FIFO
+/// counter, and a boundary edge only when the receiver is on another
+/// partition.
+struct Route {
+  std::uint32_t link;
+  Simulator* source;
+  Simulator* receiver;
+  BoundaryEdge* edge;
+  std::uint64_t fifo{0};
+
+  void post(SimTime deliver_at, InlineTask action) {
+    const DeliveryKey key{deliver_at, source->now(), fifo++, link};
+    if (edge != nullptr) {
+      edge->post(key, std::move(action));
+    } else {
+      receiver->schedule_delivery(key, std::move(action));
+    }
+  }
+};
+
+/// The adversarial timeline above, with its two tied links placed on K
+/// partitions: K = 1 keeps both inside one partition, K = 2 puts the
+/// receiver on its own partition, and K = 3 gives each sender its own.
+/// Edges are created against link-id order, so only the key's link id can
+/// order the tie.
+std::vector<std::string> replay_adversarial_timeline(std::size_t k) {
+  PartitionedSimulator ps(1, serial(k));
+  const std::size_t receiver = k - 1;
+  const auto route = [&](std::uint32_t link, std::size_t source) {
+    BoundaryEdge* edge = source == receiver
+                             ? nullptr
+                             : &ps.add_edge(source, receiver, 10);
+    return Route{link, &ps.partition(source), &ps.partition(receiver),
+                 edge};
+  };
+  Route r1 = route(1, 0);
+  Route r0 = route(0, k == 3 ? 1 : 0);
+
+  std::vector<std::string> log;
+  const auto mark = [&log](const char* label) {
+    return [&log, label] { log.emplace_back(label); };
+  };
+  r0.source->schedule_at(0, [&] {
+    r0.post(20, mark("A"));
+    r0.post(20, mark("C"));
+    r0.post(25, mark("E"));
+  });
+  r1.source->schedule_at(0, [&] { r1.post(20, mark("B")); });
+  r1.source->schedule_at(5, [&] { r1.post(20, mark("D")); });
+  r0.source->schedule_at(12, [&] { r0.post(25, mark("F")); });
+  Simulator& dst = ps.partition(receiver);
+  dst.schedule_at(15, [&] { dst.schedule_at(20, mark("I20")); });
+  dst.schedule_at(25, mark("I25"));
+
+  ps.run_until(100);
+  return log;
+}
+
+/// One delivery order for every K: at equal times internal events run
+/// first, then deliveries by post time, link id and FIFO number -- whether
+/// the links post through edges or insert directly.
+TEST(PartitionedSimulator, DeliveryKeyOrderIsTheSameAtEveryK) {
+  const std::vector<std::string> expected = {
+      "I20", "A", "C", "B", "D", "I25", "E", "F"};
+  for (const std::size_t k : {std::size_t{1}, std::size_t{2},
+                              std::size_t{3}}) {
+    EXPECT_EQ(replay_adversarial_timeline(k), expected) << "K=" << k;
+  }
+}
+
 /// Envelopes still pending when run_until returns (posted in the final
 /// window) are delivered by the next call.
 TEST(PartitionedSimulator, PendingEnvelopesSurviveAcrossRunCalls) {

@@ -15,7 +15,7 @@
 //      an unrelated file that happens to reuse the name.
 //   3. Dispatch roots: Simulator::execute_next, EventQueue::visit_pop,
 //      and every lambda passed to a scheduling call (schedule,
-//      schedule_in, schedule_at, schedule_external, post, arm,
+//      schedule_in, schedule_at, schedule_delivery, post, arm,
 //      PeriodicTimer).
 //
 // Every function reachable from a root is scanned for the banned

@@ -30,8 +30,8 @@ bool is_annotation_or_spec(const std::string& s) {
 /// argument lists run inside execute_next and are reachability roots.
 bool is_scheduling_name(const std::string& s) {
   static const std::set<std::string> kNames = {
-      "schedule",      "schedule_in", "schedule_at", "schedule_external",
-      "post",          "arm",         "PeriodicTimer"};
+      "schedule", "schedule_in", "schedule_at", "schedule_delivery",
+      "post",     "arm",         "PeriodicTimer"};
   return kNames.count(s) > 0;
 }
 
