@@ -9,6 +9,7 @@
 #include "ff/core/framefeedback.h"
 #include "ff/rt/thread_pool.h"
 #include "ff/sweep/sweep.h"
+#include "ff/util/histogram.h"
 
 int main() {
   using namespace ff;

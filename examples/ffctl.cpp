@@ -7,7 +7,9 @@
 //
 // See ff/core/scenario_config.h for the full key list. `controllers=` (a
 // comma list) runs a comparison; `plot=<series>` adds an ASCII plot;
-// `csv=<path>` dumps device 0's series.
+// `csv=<path>` dumps device 0's series; `--trace-out=<path>` writes every
+// device's frame lifecycle (the `frame.*` events, with `src` and `id`),
+// controller ticks and net/server events as JSONL.
 
 #include <iostream>
 #include <memory>
@@ -41,9 +43,9 @@ void print_help() {
       << "  config=FILE        load keys from a file first\n"
       << "  plot=SERIES        ASCII-plot a series (P, Po_target, T, ...)\n"
       << "  csv=PATH           dump device 0 series as long-form CSV\n"
-      << "  trace=PATH         dump per-frame lifecycle CSV (all devices)\n"
-      << "  --trace-out=PATH   structured JSONL trace: frame lifecycle,\n"
-      << "                     controller ticks, net/server events\n"
+      << "  --trace-out=PATH   structured JSONL trace: per-device frame\n"
+      << "                     lifecycle, controller ticks, net/server\n"
+      << "                     events\n"
       << "  --metrics-out=PATH run-level metrics as one JSON document\n"
       << "  --replay=CAPTURE   re-execute a flight-recorder capture (from\n"
       << "                     the invariants bench) and verify the result\n"
@@ -76,8 +78,7 @@ int main(int argc, char** argv) {
     // A typo'd key would otherwise be ignored and run the defaults.
     std::vector<std::string> known = ff::core::config_keys();
     known.insert(known.end(), {"config", "controllers", "plot", "csv",
-                               "trace", "trace-out", "metrics-out",
-                               "replay"});
+                               "trace-out", "metrics-out", "replay"});
     cfg.reject_unknown_keys(known);
 
     if (const auto capture = cfg.get("replay")) {
@@ -107,7 +108,6 @@ int main(int argc, char** argv) {
       controllers = {cfg.get_string("controller", "frame-feedback")};
     }
 
-    const auto trace_path = cfg.get("trace");
     const auto trace_out = cfg.get("trace-out");
     const auto metrics_out = cfg.get("metrics-out");
 
@@ -125,25 +125,14 @@ int main(int argc, char** argv) {
         return first_run ? base : base + "." + name;
       };
 
-      // Both trace consumers observe the same run through one fanout.
-      ff::obs::FanoutTraceSink fanout;
-      ff::device::FrameTracer tracer;
-      if (trace_path) fanout.add(&tracer);
       std::unique_ptr<ff::obs::JsonlTraceSink> jsonl;
       if (trace_out) {
         jsonl = std::make_unique<ff::obs::JsonlTraceSink>(run_path(*trace_out));
-        fanout.add(jsonl.get());
+        experiment.set_trace_sink(jsonl.get());
       }
-      if (!fanout.empty()) experiment.set_trace_sink(&fanout);
 
       results.push_back(experiment.run());
 
-      if (trace_path) {
-        const std::string path = run_path(*trace_path);
-        tracer.write_csv(path);
-        std::cout << "wrote frame trace " << path << " ("
-                  << tracer.total_recorded() << " events)\n";
-      }
       if (jsonl) {
         jsonl->flush();
         std::cout << "wrote trace " << run_path(*trace_out) << " ("

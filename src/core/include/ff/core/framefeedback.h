@@ -27,7 +27,6 @@
 #include "ff/core/scenario.h"
 #include "ff/core/scenario_config.h"
 #include "ff/device/edge_device.h"
-#include "ff/device/frame_trace.h"
 #include "ff/models/device_profile.h"
 #include "ff/models/frame.h"
 #include "ff/models/latency_model.h"

@@ -92,6 +92,16 @@ void Scenario::validate() const {
       reject("device '" + d.name + "' deadline (s)",
              sim_to_seconds(d.deadline), "> 0");
     }
+    if (d.frame.width < 1) {
+      reject("device '" + d.name + "' frame.width", d.frame.width, ">= 1");
+    }
+    if (d.frame.height < 1) {
+      reject("device '" + d.name + "' frame.height", d.frame.height, ">= 1");
+    }
+    if (d.frame.jpeg_quality < 1 || d.frame.jpeg_quality > 100) {
+      reject("device '" + d.name + "' frame.jpeg_quality",
+             d.frame.jpeg_quality, "in [1, 100]");
+    }
   }
   check_link(uplink_template.initial, "uplink_template.initial");
   check_link(downlink_template.initial, "downlink_template.initial");

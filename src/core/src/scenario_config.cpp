@@ -118,8 +118,13 @@ Scenario scenario_from_config(const Config& config) {
   // Device overrides apply to every device; `devices` replicates the
   // first device to the requested count.
   if (config.has("devices")) {
-    const auto n = static_cast<std::size_t>(
-        std::max<std::int64_t>(config.get_int("devices", 1), 1));
+    const std::int64_t count = config.get_int("devices", 1);
+    if (count < 1) {
+      throw std::invalid_argument("Config: devices=" +
+                                  config.get_string("devices", "") +
+                                  " must be >= 1");
+    }
+    const auto n = static_cast<std::size_t>(count);
     const device::DeviceConfig proto = s.devices.at(0);
     s.devices.clear();
     for (std::size_t i = 0; i < n; ++i) {

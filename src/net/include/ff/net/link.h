@@ -12,7 +12,6 @@
 #include <string>
 #include <unordered_map>
 
-#include "ff/net/delay_model.h"
 #include "ff/net/loss_model.h"
 #include "ff/net/packet.h"
 #include "ff/obs/trace.h"
@@ -42,7 +41,6 @@ struct LinkConfig {
   std::string name{"link"};
   LinkConditions initial{};
   std::size_t queue_limit{256};          ///< packets; tail drop beyond
-  SimDuration delay_jitter{0};           ///< stddev of normal jitter
 };
 
 struct LinkStats {
@@ -166,7 +164,6 @@ class Link {
   LinkConfig config_;
   LinkConditions conditions_;
   std::unique_ptr<LossModel> loss_;
-  std::unique_ptr<DelayModel> jitter_;
   Rng rng_;
   DeliveryFn receiver_;
   std::deque<Packet> queue_;

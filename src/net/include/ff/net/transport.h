@@ -22,16 +22,12 @@
 
 namespace ff::net {
 
+/// Fragments carry kDefaultMtuPayload bytes each; the RTO backoff cap and
+/// the receiver's dedupe window are fixed in transport.cpp.
 struct TransportConfig {
-  std::int64_t mtu_payload{kDefaultMtuPayload};
   SimDuration rto{100 * kMillisecond};       ///< base retransmit timeout
-  /// The RTO doubles per attempt (capped at rto << rto_backoff_cap):
-  /// without backoff, retransmissions of still-live messages can exceed
-  /// link capacity and keep it collapsed after conditions recover.
-  int rto_backoff_cap{5};
   int max_retries{8};  ///< per fragment, before the message fails
   SimDuration reassembly_timeout{3 * kSecond};
-  std::size_t completed_history{4096};       ///< dedupe window at the receiver
 };
 
 struct ChannelStats {

@@ -26,9 +26,6 @@ Link::Link(sim::Simulator& sim, LinkConfig config)
       config_(std::move(config)),
       conditions_(config_.initial),
       loss_(make_bernoulli_loss(conditions_.loss_probability)),
-      jitter_(config_.delay_jitter > 0
-                  ? make_normal_delay(0, config_.delay_jitter)
-                  : nullptr),
       rng_(sim.make_rng("link/" + config_.name)) {
   check_loss_probability(conditions_.loss_probability, "Link");
 }
@@ -151,9 +148,8 @@ void Link::finish_service(Packet packet) {
     }
     return;
   }
-  SimDuration delay = conditions_.propagation_delay;
-  if (jitter_) delay += jitter_->sample(rng_);
-  const SimTime deliver_at = sim_.now() + std::max<SimDuration>(delay, 0);
+  const SimTime deliver_at =
+      sim_.now() + std::max<SimDuration>(conditions_.propagation_delay, 0);
   const sim::DeliveryKey key{deliver_at, sim_.now(), next_fifo_++,
                              delivery_id_};
   auto action = [this, packet, deliver_at] { deliver(packet, deliver_at); };

@@ -8,6 +8,17 @@
 
 namespace ff::net {
 
+namespace {
+
+/// The RTO doubles per attempt, capped at rto << kRtoBackoffCap: without
+/// backoff, retransmissions of still-live messages can exceed link
+/// capacity and keep it collapsed after conditions recover.
+constexpr int kRtoBackoffCap = 5;
+/// Completed message ids the receiver remembers to drop duplicates.
+constexpr std::size_t kCompletedHistory = 4096;
+
+}  // namespace
+
 ReliableChannel::ReliableChannel(Link& data_link, Link& ack_link,
                                  std::uint64_t flow_id, TransportConfig config,
                                  std::string name)
@@ -25,7 +36,7 @@ void ReliableChannel::send(std::uint64_t message_id, Bytes payload) {
 
   OutMessage m;
   m.payload = payload;
-  const std::int64_t mtu = std::max<std::int64_t>(config_.mtu_payload, 1);
+  const std::int64_t mtu = kDefaultMtuPayload;
   m.fragment_count = static_cast<std::uint32_t>(
       std::max<std::int64_t>((payload.count + mtu - 1) / mtu, 1));
   m.acked.assign(m.fragment_count, false);
@@ -40,7 +51,7 @@ void ReliableChannel::send(std::uint64_t message_id, Bytes payload) {
 
 Bytes ReliableChannel::fragment_wire_size(const OutMessage& m,
                                           std::uint32_t fragment) const {
-  const std::int64_t mtu = std::max<std::int64_t>(config_.mtu_payload, 1);
+  const std::int64_t mtu = kDefaultMtuPayload;
   std::int64_t chunk = mtu;
   if (fragment + 1 == m.fragment_count) {
     chunk = m.payload.count - mtu * (m.fragment_count - 1);
@@ -80,7 +91,7 @@ void ReliableChannel::transmit_fragment(std::uint64_t message_id,
 
 void ReliableChannel::arm_rto(std::uint64_t message_id, std::uint32_t fragment,
                               int attempt) {
-  const int shift = std::min(attempt, config_.rto_backoff_cap);
+  const int shift = std::min(attempt, kRtoBackoffCap);
   const SimDuration rto = config_.rto << shift;
   send_sim_.schedule_in(rto, [this, message_id, fragment, attempt] {
     const auto it = outbox_.find(message_id);
@@ -190,7 +201,7 @@ void ReliableChannel::send_ack(std::uint64_t message_id, std::uint32_t fragment,
 void ReliableChannel::remember_completed(std::uint64_t message_id) {
   completed_.insert(message_id);
   completed_order_.push_back(message_id);
-  while (completed_order_.size() > config_.completed_history) {
+  while (completed_order_.size() > kCompletedHistory) {
     completed_.erase(completed_order_.front());
     completed_order_.pop_front();
   }

@@ -147,22 +147,6 @@ class JsonlTraceSink final : public TraceSink {
   std::uint64_t events_{0};
 };
 
-/// Broadcasts to several sinks (none owned); lets a CSV FrameTracer and a
-/// JSONL export observe the same run.
-class FanoutTraceSink final : public TraceSink {
- public:
-  void add(TraceSink* sink) {
-    if (sink != nullptr) sinks_.push_back(sink);
-  }
-  [[nodiscard]] bool empty() const { return sinks_.empty(); }
-  void emit(const TraceEvent& event) override {
-    for (TraceSink* s : sinks_) s->emit(event);
-  }
-
- private:
-  std::vector<TraceSink*> sinks_;
-};
-
 /// Serializes emits into a wrapped sink (not owned). TraceSink
 /// implementations are single-threaded by contract; wrap one in this when
 /// several experiments running on pool workers must share it (the sweep

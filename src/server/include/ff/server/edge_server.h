@@ -17,7 +17,6 @@
 #include "ff/server/admission.h"
 #include "ff/server/request.h"
 #include "ff/sim/simulator.h"
-#include "ff/util/histogram.h"
 #include "ff/util/stats.h"
 
 namespace ff::server {

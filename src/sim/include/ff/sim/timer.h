@@ -47,33 +47,4 @@ class PeriodicTimer {
   std::uint64_t ticks_{0};
 };
 
-/// One-shot timer with reschedule/cancel, e.g. retransmission timeouts.
-/// The action is held in the timer and the scheduled event captures only
-/// `this`, so arm/cancel churn stays allocation-free for inline-sized
-/// actions.
-class OneShotTimer {
- public:
-  explicit OneShotTimer(Simulator& sim) : sim_(sim) {}
-  ~OneShotTimer() { cancel(); }
-
-  OneShotTimer(const OneShotTimer&) = delete;
-  OneShotTimer& operator=(const OneShotTimer&) = delete;
-
-  /// Schedules `action` after `delay`, cancelling any pending shot.
-  void arm(SimDuration delay, InlineTask action);
-
-  /// Cancels the pending shot, if any.
-  void cancel();
-
-  [[nodiscard]] bool armed() const { return armed_; }
-
- private:
-  void fire();
-
-  Simulator& sim_;
-  InlineTask action_;
-  EventId pending_{};
-  bool armed_{false};
-};
-
 }  // namespace ff::sim

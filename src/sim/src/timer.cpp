@@ -37,28 +37,4 @@ void PeriodicTimer::fire() {
   on_tick_(tick);
 }
 
-void OneShotTimer::arm(SimDuration delay, InlineTask action) {
-  cancel();
-  armed_ = true;
-  action_ = std::move(action);
-  pending_ = sim_.schedule_in(delay, [this] { fire(); });
-}
-
-void OneShotTimer::fire() {
-  armed_ = false;
-  pending_ = {};
-  // Move out first so the action may re-arm this timer.
-  InlineTask action = std::move(action_);
-  action();
-}
-
-void OneShotTimer::cancel() {
-  if (armed_) {
-    sim_.cancel(pending_);
-    armed_ = false;
-    pending_ = {};
-    action_.reset();
-  }
-}
-
 }  // namespace ff::sim

@@ -1,6 +1,6 @@
 #pragma once
 
-// Fixed-bin and logarithmic histograms for latency distributions.
+// Fixed-bin histogram for latency distributions.
 
 #include <cstddef>
 #include <cstdint>
@@ -36,28 +36,6 @@ class Histogram {
   double lo_, hi_, bin_width_;
   std::vector<std::uint64_t> counts_;
   std::uint64_t underflow_{0}, overflow_{0}, total_{0};
-};
-
-/// Log2-bucketed histogram for values spanning orders of magnitude
-/// (e.g. microsecond..second latencies).
-class LogHistogram {
- public:
-  /// Buckets cover [min_value * 2^i, min_value * 2^(i+1)).
-  explicit LogHistogram(double min_value = 1.0, std::size_t buckets = 40);
-
-  void add(double x);
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-  [[nodiscard]] std::size_t bucket_count() const { return counts_.size(); }
-  [[nodiscard]] std::uint64_t bucket(std::size_t i) const {
-    return counts_.at(i);
-  }
-  [[nodiscard]] double bucket_lo(std::size_t i) const;
-  [[nodiscard]] double quantile(double q) const;
-
- private:
-  double min_value_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_{0};
 };
 
 }  // namespace ff

@@ -58,28 +58,6 @@ class P2Quantile {
   double increments_[5]{};
 };
 
-/// Exact quantiles over a retained sample; used where the sample count is
-/// bounded (per-second telemetry windows, bench summaries).
-class SampleQuantiles {
- public:
-  void add(double x) { values_.push_back(x); sorted_ = false; }
-  void reserve(std::size_t n) { values_.reserve(n); }
-
-  [[nodiscard]] std::size_t count() const { return values_.size(); }
-  [[nodiscard]] bool empty() const { return values_.empty(); }
-
-  /// Linear-interpolated quantile, q in [0, 1].
-  [[nodiscard]] double quantile(double q) const;
-  [[nodiscard]] double median() const { return quantile(0.5); }
-  [[nodiscard]] double mean() const;
-  [[nodiscard]] double min() const { return quantile(0.0); }
-  [[nodiscard]] double max() const { return quantile(1.0); }
-
- private:
-  mutable std::vector<double> values_;
-  mutable bool sorted_{false};
-};
-
 /// Mean with a confidence half-width, for multi-seed experiment
 /// summaries.
 struct MeanCi {
@@ -102,35 +80,11 @@ struct MeanCi {
 /// critical value for n-1 degrees of freedom (95% two-sided interval).
 [[nodiscard]] MeanCi mean_ci(const std::vector<double>& samples);
 
-/// Same, with an explicit critical value (e.g. a normal z, for callers
-/// that want the large-sample approximation regardless of n).
-[[nodiscard]] MeanCi mean_ci(const std::vector<double>& samples, double z);
-
 /// Student-t interval from already-streamed statistics (no retained
 /// samples).
 [[nodiscard]] MeanCi mean_ci(const StreamingStats& stats);
 
 /// Same interval with an explicit critical value.
 [[nodiscard]] MeanCi mean_ci(const StreamingStats& stats, double z);
-
-/// Exponentially weighted moving average.
-class Ewma {
- public:
-  /// `alpha` in (0, 1]: weight of the newest sample.
-  explicit Ewma(double alpha) : alpha_(alpha) {}
-
-  void add(double x) {
-    value_ = initialized_ ? alpha_ * x + (1.0 - alpha_) * value_ : x;
-    initialized_ = true;
-  }
-  [[nodiscard]] double value() const { return value_; }
-  [[nodiscard]] bool initialized() const { return initialized_; }
-  void reset() { initialized_ = false; value_ = 0.0; }
-
- private:
-  double alpha_;
-  double value_{0.0};
-  bool initialized_{false};
-};
 
 }  // namespace ff

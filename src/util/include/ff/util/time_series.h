@@ -47,15 +47,6 @@ class TimeSeries {
   /// Mean value in [from, to); 0 when the window is empty.
   [[nodiscard]] double mean_between(SimTime from, SimTime to) const;
 
-  /// Resamples into fixed buckets of `bucket` duration starting at t=0;
-  /// each output point is the mean of the inputs that fall in the bucket
-  /// (empty buckets repeat the previous value, starting from 0).
-  [[nodiscard]] TimeSeries resample(SimDuration bucket) const;
-
-  /// Largest |x[i+1] - x[i]| over the series; a cheap oscillation measure
-  /// used by the tuning benches.
-  [[nodiscard]] double max_step() const;
-
   /// Sum of |x[i+1] - x[i]| (total variation); the tuning benches use it to
   /// rank controller stability.
   [[nodiscard]] double total_variation() const;

@@ -30,9 +30,11 @@ template <class Rep, class Period>
   return std::chrono::duration_cast<std::chrono::microseconds>(d).count();
 }
 
-/// Converts fractional seconds to simulated microseconds (rounded).
+/// Converts fractional seconds to simulated microseconds, rounding half
+/// away from zero (so -1 s is exactly -kSecond, as 1 s is kSecond).
 [[nodiscard]] constexpr SimDuration seconds_to_sim(double s) {
-  return static_cast<SimDuration>(s * static_cast<double>(kSecond) + 0.5);
+  const double us = s * static_cast<double>(kSecond);
+  return static_cast<SimDuration>(us < 0.0 ? us - 0.5 : us + 0.5);
 }
 
 /// Converts simulated time to fractional seconds.

@@ -1,7 +1,6 @@
 #include "ff/util/histogram.h"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -66,45 +65,6 @@ std::string Histogram::render(std::size_t width) const {
   if (underflow_) os << "underflow " << underflow_ << "\n";
   if (overflow_) os << "overflow " << overflow_ << "\n";
   return os.str();
-}
-
-LogHistogram::LogHistogram(double min_value, std::size_t buckets)
-    : min_value_(min_value), counts_(buckets, 0) {
-  if (buckets == 0 || min_value <= 0.0) {
-    throw std::invalid_argument(
-        "LogHistogram: need min_value > 0, buckets > 0");
-  }
-}
-
-void LogHistogram::add(double x) {
-  ++total_;
-  std::size_t i = 0;
-  if (x > min_value_) {
-    i = static_cast<std::size_t>(std::log2(x / min_value_)) + 1;
-    i = std::min(i, counts_.size() - 1);
-  }
-  ++counts_[i];
-}
-
-double LogHistogram::bucket_lo(std::size_t i) const {
-  return i == 0 ? 0.0 : min_value_ * std::exp2(static_cast<double>(i - 1));
-}
-
-double LogHistogram::quantile(double q) const {
-  if (total_ == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const auto target =
-      static_cast<std::uint64_t>(q * static_cast<double>(total_));
-  std::uint64_t cum = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    cum += counts_[i];
-    if (cum > target) {
-      const double lo = bucket_lo(i);
-      const double hi = min_value_ * std::exp2(static_cast<double>(i));
-      return (lo + hi) * 0.5;
-    }
-  }
-  return min_value_ * std::exp2(static_cast<double>(counts_.size()));
 }
 
 }  // namespace ff

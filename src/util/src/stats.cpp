@@ -122,20 +122,6 @@ double P2Quantile::value() const {
   return heights_[2];
 }
 
-double SampleQuantiles::quantile(double q) const {
-  if (values_.empty()) return 0.0;
-  if (!sorted_) {
-    std::sort(values_.begin(), values_.end());
-    sorted_ = true;
-  }
-  q = std::clamp(q, 0.0, 1.0);
-  const double idx = q * static_cast<double>(values_.size() - 1);
-  const auto lo = static_cast<std::size_t>(idx);
-  const std::size_t hi = std::min(lo + 1, values_.size() - 1);
-  const double frac = idx - static_cast<double>(lo);
-  return values_[lo] * (1.0 - frac) + values_[hi] * frac;
-}
-
 double student_t_975(std::size_t df) {
   // Conventional two-sided 95% table, exact for df <= 30.
   static constexpr double kTable[31] = {
@@ -158,12 +144,6 @@ MeanCi mean_ci(const std::vector<double>& samples) {
   return mean_ci(s);
 }
 
-MeanCi mean_ci(const std::vector<double>& samples, double z) {
-  StreamingStats s;
-  for (const double v : samples) s.add(v);
-  return mean_ci(s, z);
-}
-
 MeanCi mean_ci(const StreamingStats& stats) {
   // Replicate counts are small (5-10); the normal approximation's 1.96
   // was systematically narrow. Use Student-t with n-1 degrees of freedom.
@@ -181,13 +161,6 @@ MeanCi mean_ci(const StreamingStats& stats, double z) {
                                    static_cast<double>(stats.count()));
   }
   return out;
-}
-
-double SampleQuantiles::mean() const {
-  if (values_.empty()) return 0.0;
-  double s = 0.0;
-  for (const double v : values_) s += v;
-  return s / static_cast<double>(values_.size());
 }
 
 }  // namespace ff

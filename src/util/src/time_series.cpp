@@ -1,6 +1,5 @@
 #include "ff/util/time_series.h"
 
-#include <algorithm>
 #include <cmath>
 
 namespace ff {
@@ -21,32 +20,6 @@ StreamingStats TimeSeries::stats() const {
 
 double TimeSeries::mean_between(SimTime from, SimTime to) const {
   return stats_between(from, to).mean();
-}
-
-TimeSeries TimeSeries::resample(SimDuration bucket) const {
-  TimeSeries out(name_);
-  if (points_.empty() || bucket <= 0) return out;
-  const SimTime end = points_.back().time;
-  std::size_t i = 0;
-  double last = 0.0;
-  for (SimTime t = 0; t <= end; t += bucket) {
-    StreamingStats s;
-    while (i < points_.size() && points_[i].time < t + bucket) {
-      s.add(points_[i].value);
-      ++i;
-    }
-    if (!s.empty()) last = s.mean();
-    out.record(t, last);
-  }
-  return out;
-}
-
-double TimeSeries::max_step() const {
-  double m = 0.0;
-  for (std::size_t i = 1; i < points_.size(); ++i) {
-    m = std::max(m, std::abs(points_[i].value - points_[i - 1].value));
-  }
-  return m;
 }
 
 double TimeSeries::total_variation() const {

@@ -1,16 +1,23 @@
 // End-to-end observability: a scenario run with a trace sink attached must
 // produce events that reconcile exactly with the run's telemetry counters,
-// and the JSONL export of the same run must be line-parseable.
+// and the JSONL export of the same run must be line-parseable, with every
+// frame event keyed by its device and frame id.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ff/control/frame_feedback.h"
 #include "ff/core/experiment.h"
 #include "ff/core/obs_export.h"
+#include "ff/core/scenario_config.h"
 #include "ff/obs/metrics.h"
 #include "ff/obs/trace.h"
 
@@ -39,16 +46,29 @@ std::size_t count_type(const std::vector<std::string>& lines,
   return n;
 }
 
+/// The string value of `"key":"..."` in a JSONL line, or nullopt.
+std::optional<std::string> string_field(const std::string& line,
+                                        std::string_view key) {
+  const std::string needle = "\"" + std::string(key) + "\":\"";
+  const auto at = line.find(needle);
+  if (at == std::string::npos) return std::nullopt;
+  const auto begin = at + needle.size();
+  return line.substr(begin, line.find('"', begin) - begin);
+}
+
+/// The integer value of `"id":N` in a JSONL line, or nullopt.
+std::optional<std::uint64_t> id_field(const std::string& line) {
+  const std::string needle = "\"id\":";
+  const auto at = line.find(needle);
+  if (at == std::string::npos) return std::nullopt;
+  return std::stoull(line.substr(at + needle.size()));
+}
+
 TEST(ObsIntegration, TraceEventsReconcileWithTelemetry) {
-  Experiment experiment(Scenario::ideal(10 * kSecond),
-                        frame_feedback_factory());
+  const auto scenario = Scenario::ideal(10 * kSecond);
+  Experiment experiment(scenario, frame_feedback_factory());
   obs::CollectingTraceSink collected;
-  std::ostringstream jsonl_out;
-  obs::JsonlTraceSink jsonl(jsonl_out);
-  obs::FanoutTraceSink fanout;
-  fanout.add(&collected);
-  fanout.add(&jsonl);
-  experiment.set_trace_sink(&fanout);
+  experiment.set_trace_sink(&collected);
 
   const ExperimentResult result = experiment.run();
   const auto& totals = result.devices[0].totals;
@@ -80,7 +100,13 @@ TEST(ObsIntegration, TraceEventsReconcileWithTelemetry) {
   // One controller tick per elapsed measurement period.
   EXPECT_GT(collected.count(obs::ev::kControlTick), 0u);
 
-  // The JSONL mirror saw the identical stream, one object per line.
+  // A JSONL export of the same seed sees the identical stream, one object
+  // per line.
+  Experiment rerun(scenario, frame_feedback_factory());
+  std::ostringstream jsonl_out;
+  obs::JsonlTraceSink jsonl(jsonl_out);
+  rerun.set_trace_sink(&jsonl);
+  (void)rerun.run();
   EXPECT_EQ(jsonl.events_written(), collected.events().size());
   const auto lines = lines_of(jsonl_out.str());
   ASSERT_EQ(lines.size(), collected.events().size());
@@ -93,6 +119,51 @@ TEST(ObsIntegration, TraceEventsReconcileWithTelemetry) {
             totals.frames_captured);
   EXPECT_EQ(count_type(lines, obs::ev::kControlTick),
             collected.count(obs::ev::kControlTick));
+}
+
+// Several devices number their frames independently, so a frame is named
+// by (device, id): each frame event must carry both, each pair is captured
+// exactly once, and per-device captures match that device's telemetry.
+TEST(ObsIntegration, EveryFrameLineNamesDeviceAndId) {
+  Config config;
+  config.set("scenario", "ideal");
+  config.set("devices", "4");
+  config.set("duration_s", "10");
+  Experiment experiment(scenario_from_config(config),
+                        frame_feedback_factory());
+  std::ostringstream jsonl_out;
+  obs::JsonlTraceSink jsonl(jsonl_out);
+  experiment.set_trace_sink(&jsonl);
+  const ExperimentResult result = experiment.run();
+  ASSERT_EQ(result.devices.size(), 4u);
+
+  std::set<std::pair<std::string, std::uint64_t>> captured;
+  std::map<std::string, std::uint64_t> captures_by_source;
+  std::size_t frame_events = 0;
+  std::size_t repeated_captures = 0;
+  for (const auto& line : lines_of(jsonl_out.str())) {
+    const auto type = string_field(line, "type");
+    ASSERT_TRUE(type.has_value()) << line;
+    if (type->rfind("frame.", 0) != 0) continue;
+    ++frame_events;
+    const auto src = string_field(line, "src");
+    const auto id = id_field(line);
+    ASSERT_TRUE(src.has_value()) << line;
+    ASSERT_TRUE(id.has_value()) << line;
+    if (*type == obs::ev::kFrameCaptured) {
+      if (!captured.emplace(*src, *id).second) ++repeated_captures;
+      ++captures_by_source[*src];
+    }
+  }
+  EXPECT_EQ(repeated_captures, 0u);
+  EXPECT_GT(frame_events, captured.size());
+
+  ASSERT_EQ(captures_by_source.size(), result.devices.size());
+  for (const auto& device : result.devices) {
+    ASSERT_GT(device.totals.frames_captured, 0u) << device.name;
+    EXPECT_EQ(captures_by_source[device.name], device.totals.frames_captured)
+        << device.name;
+  }
 }
 
 TEST(ObsIntegration, ExportedMetricsMatchRunTotals) {

@@ -57,6 +57,19 @@ TEST(ScenarioConfig, DeviceReplication) {
   EXPECT_NE(s.devices[0].name, s.devices[1].name);
 }
 
+TEST(ScenarioConfig, DeviceCountBelowOneThrows) {
+  for (const char* count : {"0", "-1"}) {
+    try {
+      (void)scenario_from_config(make_config({{"devices", count}}));
+      FAIL() << "devices=" << count << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("devices=") + count),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(ScenarioConfig, DeviceOverrides) {
   const Scenario s = scenario_from_config(make_config(
       {{"device.profile", "pi3b"},

@@ -114,6 +114,25 @@ TEST(Scenario, ValidateRejectsNonPositiveRanges) {
   s = Scenario::ideal();
   s.devices.clear();
   expect_rejected(s, "devices");
+  for (const int size : {0, -1}) {
+    s = Scenario::ideal();
+    s.devices[0].frame.width = size;
+    expect_rejected(s, "device '" + s.devices[0].name + "' frame.width");
+    s = Scenario::ideal();
+    s.devices[0].frame.height = size;
+    expect_rejected(s, "device '" + s.devices[0].name + "' frame.height");
+  }
+  for (const int quality : {0, -1, 101, 500}) {
+    s = Scenario::ideal();
+    s.devices[0].frame.jpeg_quality = quality;
+    expect_rejected(s,
+                    "device '" + s.devices[0].name + "' frame.jpeg_quality");
+  }
+  s = Scenario::ideal();
+  s.devices[0].frame = {1, 1, 1};
+  EXPECT_NO_THROW(s.validate());
+  s.devices[0].frame.jpeg_quality = 100;
+  EXPECT_NO_THROW(s.validate());
 }
 
 TEST(Scenario, ValidateRejectsNegativeDelaysBadRatesAndBatchLimits) {

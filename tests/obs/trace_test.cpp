@@ -66,19 +66,6 @@ TEST(JsonlTraceSink, DetailAndNonFiniteValues) {
   EXPECT_NE(line.find("\"bad\":null"), std::string::npos);
 }
 
-TEST(FanoutTraceSink, BroadcastsToAllSinks) {
-  CollectingTraceSink a, b;
-  FanoutTraceSink fan;
-  EXPECT_TRUE(fan.empty());
-  fan.add(&a);
-  fan.add(&b);
-  fan.add(nullptr);  // ignored
-  EXPECT_FALSE(fan.empty());
-  fan.emit(TraceEvent(0, ev::kNetLoss, "link"));
-  EXPECT_EQ(a.count(ev::kNetLoss), 1u);
-  EXPECT_EQ(b.count(ev::kNetLoss), 1u);
-}
-
 TEST(CollectingTraceSink, RetainsAndCounts) {
   CollectingTraceSink sink;
   sink.emit(TraceEvent(1, ev::kFrameCaptured, "d").with_id(1));

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "ff/sim/simulator.h"
-#include "ff/sim/timer.h"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
@@ -126,28 +125,6 @@ TEST(Allocation, SelfReschedulingEventChainIsAllocationFree) {
     EXPECT_EQ(TrackingScope::count(), 0u);
   }
   EXPECT_EQ(count, 10'000u);
-}
-
-TEST(Allocation, TimerRearmChurnIsAllocationFree) {
-  Simulator sim;
-  OneShotTimer rto(sim);
-  std::uint64_t fired = 0;
-
-  const auto churn = [&] {
-    for (int i = 0; i < 256; ++i) {
-      rto.arm(100, [&fired] { ++fired; });
-      if (i % 2 == 0) rto.cancel();
-      (void)sim.run();
-    }
-  };
-
-  churn();  // warm-up
-  {
-    TrackingScope tracking;
-    churn();
-    EXPECT_EQ(TrackingScope::count(), 0u);
-  }
-  EXPECT_EQ(fired, 2u * 128);
 }
 
 }  // namespace

@@ -87,48 +87,5 @@ TEST(PeriodicTimer, DestructionCancelsPending) {
   EXPECT_EQ(count, 0);
 }
 
-TEST(OneShotTimer, FiresOnce) {
-  Simulator sim;
-  int count = 0;
-  OneShotTimer t(sim);
-  t.arm(kSecond, [&] { ++count; });
-  EXPECT_TRUE(t.armed());
-  sim.run_until(10 * kSecond);
-  EXPECT_EQ(count, 1);
-  EXPECT_FALSE(t.armed());
-}
-
-TEST(OneShotTimer, RearmCancelsPrevious) {
-  Simulator sim;
-  std::vector<int> fired;
-  OneShotTimer t(sim);
-  t.arm(kSecond, [&] { fired.push_back(1); });
-  t.arm(2 * kSecond, [&] { fired.push_back(2); });
-  sim.run_until(10 * kSecond);
-  EXPECT_EQ(fired, (std::vector<int>{2}));
-}
-
-TEST(OneShotTimer, CancelPrevents) {
-  Simulator sim;
-  int count = 0;
-  OneShotTimer t(sim);
-  t.arm(kSecond, [&] { ++count; });
-  t.cancel();
-  EXPECT_FALSE(t.armed());
-  sim.run_until(10 * kSecond);
-  EXPECT_EQ(count, 0);
-}
-
-TEST(OneShotTimer, DestructionCancels) {
-  Simulator sim;
-  int count = 0;
-  {
-    OneShotTimer t(sim);
-    t.arm(kSecond, [&] { ++count; });
-  }
-  sim.run_until(10 * kSecond);
-  EXPECT_EQ(count, 0);
-}
-
 }  // namespace
 }  // namespace ff::sim

@@ -76,45 +76,5 @@ TEST(Histogram, RenderContainsBars) {
   EXPECT_NE(r.find("[0, 1)"), std::string::npos);
 }
 
-TEST(LogHistogram, BucketBoundariesDouble) {
-  LogHistogram h(1.0, 10);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(1), 1.0);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(2), 2.0);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(3), 4.0);
-}
-
-TEST(LogHistogram, ValuesSpanOrdersOfMagnitude) {
-  LogHistogram h(1.0, 40);
-  h.add(0.5);     // bucket 0
-  h.add(1.5);     // [1,2)
-  h.add(1000.0);  // [512, 1024) -> bucket 10+1
-  EXPECT_EQ(h.total(), 3u);
-  EXPECT_EQ(h.bucket(0), 1u);
-  EXPECT_EQ(h.bucket(1), 1u);
-  EXPECT_EQ(h.bucket(10), 1u);
-}
-
-TEST(LogHistogram, OverflowClampsToLastBucket) {
-  LogHistogram h(1.0, 4);
-  h.add(1e12);
-  EXPECT_EQ(h.bucket(3), 1u);
-}
-
-TEST(LogHistogram, QuantileRoughlyRight) {
-  Rng rng(2);
-  LogHistogram h(1.0, 40);
-  for (int i = 0; i < 100000; ++i) h.add(rng.uniform(0.0, 1000.0));
-  // Median ~500; log buckets are coarse, so allow one bucket of slack.
-  const double m = h.quantile(0.5);
-  EXPECT_GE(m, 250.0);
-  EXPECT_LE(m, 1024.0);
-}
-
-TEST(LogHistogram, InvalidConstructionThrows) {
-  EXPECT_THROW(LogHistogram(0.0, 4), std::invalid_argument);
-  EXPECT_THROW(LogHistogram(1.0, 0), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace ff

@@ -115,70 +115,6 @@ TEST(P2Quantile, P90OfExponential) {
   EXPECT_NEAR(q.value(), 2.3026, 0.1);
 }
 
-TEST(SampleQuantiles, ExactQuantiles) {
-  SampleQuantiles s;
-  for (const double v : {10.0, 20.0, 30.0, 40.0, 50.0}) s.add(v);
-  EXPECT_DOUBLE_EQ(s.min(), 10.0);
-  EXPECT_DOUBLE_EQ(s.max(), 50.0);
-  EXPECT_DOUBLE_EQ(s.median(), 30.0);
-  EXPECT_DOUBLE_EQ(s.quantile(0.25), 20.0);
-  EXPECT_DOUBLE_EQ(s.mean(), 30.0);
-}
-
-TEST(SampleQuantiles, InterpolatesBetweenSamples) {
-  SampleQuantiles s;
-  s.add(0.0);
-  s.add(10.0);
-  EXPECT_DOUBLE_EQ(s.quantile(0.5), 5.0);
-  EXPECT_DOUBLE_EQ(s.quantile(0.75), 7.5);
-}
-
-TEST(SampleQuantiles, EmptyReturnsZero) {
-  const SampleQuantiles s;
-  EXPECT_DOUBLE_EQ(s.quantile(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-}
-
-TEST(SampleQuantiles, AddAfterQueryResorts) {
-  SampleQuantiles s;
-  s.add(1.0);
-  s.add(3.0);
-  EXPECT_DOUBLE_EQ(s.median(), 2.0);
-  s.add(100.0);
-  EXPECT_DOUBLE_EQ(s.median(), 3.0);
-}
-
-TEST(Ewma, FirstSampleInitializes) {
-  Ewma e(0.1);
-  EXPECT_FALSE(e.initialized());
-  e.add(42.0);
-  EXPECT_TRUE(e.initialized());
-  EXPECT_DOUBLE_EQ(e.value(), 42.0);
-}
-
-TEST(Ewma, ConvergesTowardConstant) {
-  Ewma e(0.5);
-  e.add(0.0);
-  for (int i = 0; i < 30; ++i) e.add(10.0);
-  EXPECT_NEAR(e.value(), 10.0, 1e-6);
-}
-
-TEST(Ewma, AlphaOneTracksExactly) {
-  Ewma e(1.0);
-  e.add(1.0);
-  e.add(7.0);
-  EXPECT_DOUBLE_EQ(e.value(), 7.0);
-}
-
-TEST(Ewma, ResetClears) {
-  Ewma e(0.3);
-  e.add(5.0);
-  e.reset();
-  EXPECT_FALSE(e.initialized());
-  e.add(2.0);
-  EXPECT_DOUBLE_EQ(e.value(), 2.0);
-}
-
 TEST(MeanCiOverloads, StreamingStatsMatchesVectorForm) {
   const std::vector<double> samples{10.0, 12.0, 14.0, 9.0, 11.0};
   StreamingStats s;

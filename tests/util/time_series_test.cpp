@@ -36,42 +36,14 @@ TEST(TimeSeries, StatsWholeSeries) {
   EXPECT_DOUBLE_EQ(s.stats().mean(), 2.0);
 }
 
-TEST(TimeSeries, ResampleBucketMeans) {
-  TimeSeries s;
-  s.record(0, 1.0);
-  s.record(kSecond / 2, 3.0);        // bucket 0: mean 2
-  s.record(kSecond, 10.0);           // bucket 1: 10
-  s.record(3 * kSecond, 20.0);       // bucket 3: 20; bucket 2 repeats 10
-  const TimeSeries r = s.resample(kSecond);
-  ASSERT_EQ(r.size(), 4u);
-  EXPECT_DOUBLE_EQ(r.at(0).value, 2.0);
-  EXPECT_DOUBLE_EQ(r.at(1).value, 10.0);
-  EXPECT_DOUBLE_EQ(r.at(2).value, 10.0);  // empty bucket repeats
-  EXPECT_DOUBLE_EQ(r.at(3).value, 20.0);
-}
-
-TEST(TimeSeries, ResampleEmptyOrBadBucket) {
-  TimeSeries s;
-  EXPECT_TRUE(s.resample(kSecond).empty());
-  s.record(0, 1.0);
-  EXPECT_TRUE(s.resample(0).empty());
-}
-
-TEST(TimeSeries, MaxStepAndTotalVariation) {
+TEST(TimeSeries, TotalVariation) {
   TimeSeries s;
   s.record(0, 0.0);
+  EXPECT_DOUBLE_EQ(s.total_variation(), 0.0);  // a single point
   s.record(1, 5.0);
   s.record(2, 3.0);
   s.record(3, 3.0);
-  EXPECT_DOUBLE_EQ(s.max_step(), 5.0);
   EXPECT_DOUBLE_EQ(s.total_variation(), 7.0);
-}
-
-TEST(TimeSeries, MaxStepSinglePointIsZero) {
-  TimeSeries s;
-  s.record(0, 42.0);
-  EXPECT_DOUBLE_EQ(s.max_step(), 0.0);
-  EXPECT_DOUBLE_EQ(s.total_variation(), 0.0);
 }
 
 TEST(SeriesBundle, CreatesOnFirstUse) {

@@ -13,6 +13,12 @@ TEST(Units, ChronoConversion) {
 TEST(Units, SecondsRoundTrip) {
   EXPECT_EQ(seconds_to_sim(1.5), 3 * kSecond / 2);
   EXPECT_DOUBLE_EQ(sim_to_seconds(seconds_to_sim(12.25)), 12.25);
+  // Negative times round half away from zero, mirroring positive ones.
+  EXPECT_EQ(seconds_to_sim(-1.0), -kSecond);
+  EXPECT_EQ(seconds_to_sim(-0.001), -kMillisecond);
+  EXPECT_EQ(seconds_to_sim(-1.5), -3 * kSecond / 2);
+  EXPECT_DOUBLE_EQ(sim_to_seconds(seconds_to_sim(-12.25)), -12.25);
+  static_assert(seconds_to_sim(-1.0) == -kSecond);
 }
 
 TEST(Units, RatePeriod) {
