@@ -40,9 +40,9 @@ int main() {
                "tolerant of aggressive Kp. The paper's (0.2, 0.26) sits on\n"
                "the low-oscillation end of the same frontier: its\n"
                "post-disturbance oscillation is ~half that of the Kp=0.8\n"
-               "cells, at the cost of a ~6 s slower ramp. Re-weight the\n"
-               "score (disturbance_weight) and the optimum slides along\n"
-               "exactly this trade.\n";
+               "cells, at the cost of a ~6 s slower ramp. The score weighs\n"
+               "post-disturbance oscillation 2x; another weight slides the\n"
+               "optimum along exactly this trade.\n";
   rt::shutdown_default_pool();
   return 0;
 }

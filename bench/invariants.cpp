@@ -10,7 +10,10 @@
 //   invariants capture=all             capture green runs too
 //   invariants out=PATH captures=DIR   output locations
 //   invariants list                    print the suite and exit
+//
+// Any other key exits 1 naming it, instead of running the full suite.
 
+#include <exception>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -38,11 +41,13 @@ std::vector<std::string> split_csv(const std::string& csv) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace ff;
 
   std::vector<std::string> leftover;
   const Config cfg = Config::from_args(argc, argv, &leftover);
+  cfg.reject_unknown_keys({"scenarios", "event_cost", "captures", "capture",
+                           "out"});
   for (const auto& arg : leftover) {
     if (arg == "list") {
       for (const auto& d : invariants::default_suite()) {
@@ -107,4 +112,7 @@ int main(int argc, char** argv) {
   }
   std::cout << "all invariants hold\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "invariants: " << e.what() << "\n";
+  return 1;
 }

@@ -34,7 +34,6 @@ BENCHMARK(BM_FrameFeedbackUpdate);
 void BM_PidStep(benchmark::State& state) {
   PidConfig c;
   c.ki = 0.1;
-  c.derivative_filter_alpha = 0.5;
   PidController pid(c);
   double e = 0.1;
   for (auto _ : state) {

@@ -45,7 +45,7 @@ int main() {
       std::uint64_t done = 0;
       models::LocalLatencyModel latency(profile, model,
                                         sim.make_rng(profile.name), 0.08);
-      device::LocalEngine engine(sim, latency, {2},
+      device::LocalEngine engine(sim, latency,
                                  [&](std::uint64_t, SimTime) { ++done; });
       std::uint64_t id = 0;
       sim::PeriodicTimer feeder(sim, [&](std::uint64_t) {

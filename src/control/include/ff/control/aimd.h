@@ -9,30 +9,14 @@
 
 namespace ff::control {
 
-struct AimdConfig {
-  double increase_fraction{0.05};   ///< additive step, as a fraction of Fs
-  double decrease_factor{0.5};      ///< multiplicative back-off on timeouts
-  /// T below this fraction of Fs counts as a clean (timeout-free) period.
-  double timeout_tolerance_fraction{0.05};
-  double floor_fraction{0.03};      ///< keep probing at this fraction of Fs
-  SimDuration measure_period{kSecond};
-};
-
 class AimdController final : public Controller {
  public:
-  explicit AimdController(AimdConfig config = {});
-
   [[nodiscard]] std::string_view name() const override { return "aimd"; }
-  [[nodiscard]] SimDuration measure_period() const override {
-    return config_.measure_period;
-  }
+  [[nodiscard]] SimDuration measure_period() const override { return kSecond; }
   [[nodiscard]] double update(const ControllerInput& input) override;
   void reset() override;
 
-  [[nodiscard]] const AimdConfig& config() const { return config_; }
-
  private:
-  AimdConfig config_;
   double offload_rate_{0.0};
 };
 

@@ -24,19 +24,18 @@ struct FrameFeedbackConfig {
   double kp{0.2};                    ///< Table IV
   double kd{0.26};                   ///< Table IV
   double ki{0.0};                    ///< Eq. 3 drops the integral term
-  double timeout_setpoint_fraction{0.1};  ///< the "10% of Fs" knee
   double update_min_fraction{-0.5};  ///< min u, as a fraction of Fs
-  double update_max_fraction{0.1};   ///< max u, as a fraction of Fs
   SimDuration measure_period{kSecond};  ///< Table IV: 1 s
   double initial_offload_rate{0.0};
-  /// Treat |T| below this (frames/s) as "T == 0" in the piecewise PV.
-  double timeout_epsilon{1e-9};
   /// When false, u is not clamped (Fig. 2 ablation knob).
   bool clamp_updates{true};
 };
 
 class FrameFeedbackController final : public Controller {
  public:
+  /// Max u, as a fraction of Fs (Table IV); the min is configurable.
+  static constexpr double kUpdateMaxFraction = 0.1;
+
   explicit FrameFeedbackController(FrameFeedbackConfig config = {});
 
   [[nodiscard]] std::string_view name() const override {

@@ -1,9 +1,8 @@
 #pragma once
 
-// Textbook discrete PID with output clamping, integral anti-windup and
-// optional derivative low-pass filtering (paper §III Eq. 2). The
-// FrameFeedback controller runs this with Ki = 0 (Eq. 3); the full-PID
-// ablation turns Ki back on.
+// Textbook discrete PID, unclamped and unfiltered (paper §III Eq. 2). The
+// FrameFeedback controller runs this with Ki = 0 (Eq. 3) and clamps its
+// output itself; the full-PID ablation turns Ki back on.
 
 #include "ff/util/units.h"
 
@@ -13,14 +12,6 @@ struct PidConfig {
   double kp{0.2};
   double ki{0.0};
   double kd{0.26};
-  /// Output (control action u) clamp; min <= max required.
-  double output_min{-1e300};
-  double output_max{1e300};
-  /// Integral term clamp (anti-windup); only relevant when ki != 0.
-  double integral_min{-1e300};
-  double integral_max{1e300};
-  /// EWMA smoothing of the derivative term: 1.0 = unfiltered.
-  double derivative_filter_alpha{1.0};
 };
 
 class PidController {
@@ -29,7 +20,7 @@ class PidController {
 
   /// One control step. `dt` is the time since the previous step in the
   /// controller's own tick units (the paper uses 1 tick = 1 s). Returns
-  /// the clamped control action u.
+  /// the control action u.
   [[nodiscard]] double step(double error, double dt = 1.0);
 
   void reset();
@@ -42,7 +33,6 @@ class PidController {
   PidConfig config_;
   double integral_{0.0};
   double last_error_{0.0};
-  double filtered_derivative_{0.0};
   bool has_last_error_{false};
 };
 

@@ -15,48 +15,28 @@
 // Load timeouts (Tl) never trigger quality changes: smaller frames do not
 // help a saturated GPU.
 
-#include <vector>
-
 #include "ff/control/frame_feedback.h"
 
 namespace ff::control {
 
-struct QualityAdaptConfig {
-  FrameFeedbackConfig rate{};            ///< inner PD loop settings
-  /// Quality ladder, best first. Default steps roughly halve bytes/frame.
-  std::vector<int> quality_ladder{85, 70, 55, 40};
-  /// Step down when Tn exceeds this fraction of Fs.
-  double degrade_tn_fraction{0.1};
-  /// Step up after this many consecutive clean periods at Po >= this
-  /// fraction of Fs.
-  int upgrade_after_clean_periods{5};
-  double upgrade_po_fraction{0.9};
-  /// Cooldown periods between any two quality changes (let the rate loop
-  /// see the new operating point before moving again).
-  int cooldown_periods{3};
-};
-
 class QualityAdaptController final : public Controller {
  public:
-  explicit QualityAdaptController(QualityAdaptConfig config = {});
+  /// `rate` configures the inner PD loop.
+  explicit QualityAdaptController(FrameFeedbackConfig rate = {});
 
   [[nodiscard]] std::string_view name() const override {
     return "quality-adapt";
   }
   [[nodiscard]] SimDuration measure_period() const override {
-    return config_.rate.measure_period;
+    return rate_controller_.measure_period();
   }
   [[nodiscard]] double update(const ControllerInput& input) override;
-  [[nodiscard]] std::optional<int> frame_quality() const override {
-    return config_.quality_ladder.at(ladder_index_);
-  }
+  [[nodiscard]] std::optional<int> frame_quality() const override;
   void reset() override;
 
-  [[nodiscard]] const QualityAdaptConfig& config() const { return config_; }
   [[nodiscard]] std::size_t ladder_index() const { return ladder_index_; }
 
  private:
-  QualityAdaptConfig config_;
   FrameFeedbackController rate_controller_;
   std::size_t ladder_index_{0};
   int clean_streak_{0};

@@ -3,17 +3,27 @@
 #include <algorithm>
 
 namespace ff::control {
+namespace {
 
-AimdController::AimdController(AimdConfig config) : config_(config) {}
+/// Additive step, as a fraction of Fs.
+constexpr double kIncreaseFraction = 0.05;
+/// Multiplicative back-off on timeouts.
+constexpr double kDecreaseFactor = 0.5;
+/// T at or below this fraction of Fs counts as a clean (timeout-free) period.
+constexpr double kTimeoutToleranceFraction = 0.05;
+/// Keep probing at this fraction of Fs.
+constexpr double kFloorFraction = 0.03;
+
+}  // namespace
 
 double AimdController::update(const ControllerInput& input) {
   const double fs = input.source_fps;
-  if (input.timeout_rate <= config_.timeout_tolerance_fraction * fs) {
-    offload_rate_ += config_.increase_fraction * fs;
+  if (input.timeout_rate <= kTimeoutToleranceFraction * fs) {
+    offload_rate_ += kIncreaseFraction * fs;
   } else {
-    offload_rate_ *= config_.decrease_factor;
+    offload_rate_ *= kDecreaseFactor;
   }
-  offload_rate_ = std::clamp(offload_rate_, config_.floor_fraction * fs, fs);
+  offload_rate_ = std::clamp(offload_rate_, kFloorFraction * fs, fs);
   return offload_rate_;
 }
 

@@ -5,13 +5,18 @@
 namespace ff::control {
 namespace {
 
+/// The "10% of Fs" knee of Eq. 5.
+constexpr double kTimeoutSetpointFraction = 0.1;
+/// T at or below this (frames/s) counts as "T == 0" in the piecewise PV.
+constexpr double kTimeoutEpsilon = 1e-9;
+
 [[nodiscard]] PidConfig to_pid_config(const FrameFeedbackConfig& c) {
   PidConfig p;
   p.kp = c.kp;
   p.ki = c.ki;
   p.kd = c.kd;
   // Output clamping is applied in update() because the bounds scale with
-  // Fs, which arrives with the input; keep the PID itself unclamped.
+  // Fs, which arrives with the input; the PID itself is unclamped.
   return p;
 }
 
@@ -28,9 +33,9 @@ double FrameFeedbackController::update(const ControllerInput& input) {
 
   // Piecewise error (Eq. 5). Note it is computed from the *commanded* Po,
   // matching the paper: the controller regulates its own target.
-  const double error = (t <= config_.timeout_epsilon)
+  const double error = (t <= kTimeoutEpsilon)
                            ? fs - offload_rate_
-                           : config_.timeout_setpoint_fraction * fs - t;
+                           : kTimeoutSetpointFraction * fs - t;
   last_error_ = error;
 
   // dt in measurement periods: the discrete controller treats one tick as
@@ -38,7 +43,7 @@ double FrameFeedbackController::update(const ControllerInput& input) {
   double u = pid_.step(error, 1.0);
   if (config_.clamp_updates) {
     u = std::clamp(u, config_.update_min_fraction * fs,
-                   config_.update_max_fraction * fs);
+                   kUpdateMaxFraction * fs);
   }
   last_update_ = u;
 

@@ -1,44 +1,25 @@
 #include "ff/control/pid.h"
 
-#include <algorithm>
-#include <stdexcept>
-
 namespace ff::control {
 
-PidController::PidController(PidConfig config) : config_(config) {
-  if (config_.output_min > config_.output_max) {
-    throw std::invalid_argument("PidController: output_min > output_max");
-  }
-  if (config_.integral_min > config_.integral_max) {
-    throw std::invalid_argument("PidController: integral_min > integral_max");
-  }
-  config_.derivative_filter_alpha =
-      std::clamp(config_.derivative_filter_alpha, 0.0, 1.0);
-}
+PidController::PidController(PidConfig config) : config_(config) {}
 
 double PidController::step(double error, double dt) {
   if (dt <= 0.0) dt = 1.0;
 
-  integral_ = std::clamp(integral_ + error * dt, config_.integral_min,
-                         config_.integral_max);
+  integral_ += error * dt;
 
   double derivative = 0.0;
   if (has_last_error_) derivative = (error - last_error_) / dt;
-  filtered_derivative_ =
-      config_.derivative_filter_alpha * derivative +
-      (1.0 - config_.derivative_filter_alpha) * filtered_derivative_;
   last_error_ = error;
   has_last_error_ = true;
 
-  const double u = config_.kp * error + config_.ki * integral_ +
-                   config_.kd * filtered_derivative_;
-  return std::clamp(u, config_.output_min, config_.output_max);
+  return config_.kp * error + config_.ki * integral_ + config_.kd * derivative;
 }
 
 void PidController::reset() {
   integral_ = 0.0;
   last_error_ = 0.0;
-  filtered_derivative_ = 0.0;
   has_last_error_ = false;
 }
 

@@ -21,20 +21,17 @@ struct NetworkedTransportConfig {
   models::ModelId model{models::ModelId::kMobileNetV3Small};
   net::LinkConfig uplink{};
   net::LinkConfig downlink{};
-  net::TransportConfig transport{};
 };
 
 class NetworkedOffloadTransport final : public device::OffloadTransport {
  public:
-  /// `sim` and `server` must outlive the transport.
-  NetworkedOffloadTransport(sim::Simulator& sim, server::EdgeServer& server,
-                            NetworkedTransportConfig config);
-
-  /// Partitioned form: the device side (uplink serialization, response
-  /// handling) runs on `device_sim`, the server side (downlink
-  /// serialization, request submission) on `server_sim` -- which must be
-  /// the server's own simulator. Cross-partition routing is wired by
-  /// binding the path's links to boundary edges (Link::bind_boundary).
+  /// The device side (uplink serialization, response handling) runs on
+  /// `device_sim`, the server side (downlink serialization, request
+  /// submission) on `server_sim` -- which must be the server's own
+  /// simulator; both are the same simulator in a one-partition run.
+  /// Cross-partition routing is wired by binding the path's links to
+  /// boundary edges (Link::bind_boundary). The simulators and `server`
+  /// must outlive the transport.
   NetworkedOffloadTransport(sim::Simulator& device_sim,
                             sim::Simulator& server_sim,
                             server::EdgeServer& server,

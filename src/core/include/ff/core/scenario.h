@@ -10,8 +10,8 @@
 
 #include "ff/core/fleet_topology.h"
 #include "ff/device/edge_device.h"
+#include "ff/net/link.h"
 #include "ff/net/netem.h"
-#include "ff/net/transport.h"
 #include "ff/server/edge_server.h"
 #include "ff/server/load_generator.h"
 
@@ -29,7 +29,6 @@ struct Scenario {
   net::NetemSchedule network{net::NetemSchedule::constant({})};
   net::LinkConfig uplink_template{};
   net::LinkConfig downlink_template{};
-  net::TransportConfig transport{};
   /// When true, all device uplinks contend on one shared wireless medium
   /// (a single AP) instead of independently shaped interfaces.
   bool shared_uplink_medium{false};
@@ -60,9 +59,6 @@ struct Scenario {
   /// to the historical single-server wiring. When enabled, the fields
   /// above are ignored in favor of the per-server ServerSpecs.
   FleetTopology fleet{};
-
-  /// Cadence of the recorded time series (figures sample at 1 Hz).
-  SimDuration sample_period{kSecond};
 
   /// --- Paper setups -------------------------------------------------
 

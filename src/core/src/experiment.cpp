@@ -7,6 +7,12 @@
 #include "ff/control/frame_feedback.h"
 
 namespace ff::core {
+namespace {
+
+/// Cadence of the recorded time series (figures sample at 1 Hz).
+constexpr SimDuration kSamplePeriod = kSecond;
+
+}  // namespace
 
 double DeviceResult::goodput_fraction() const {
   if (totals.frames_captured == 0) return 0.0;
@@ -107,7 +113,6 @@ NetworkedTransportConfig Experiment::path_config(
   tconf.uplink.name = base + "/up";
   tconf.downlink = scenario_.downlink_template;
   tconf.downlink.name = base + "/down";
-  tconf.transport = scenario_.transport;
   return tconf;
 }
 
@@ -305,7 +310,7 @@ void Experiment::sample_rig(DeviceRig& rig) {
   rig.series.series("accuracy").record(now, dev.effective_accuracy());
   const double power = dev.power_draw_w();
   rig.series.series("power_w").record(now, power);
-  rig.energy.accumulate(power, scenario_.sample_period);
+  rig.energy.accumulate(power, kSamplePeriod);
 }
 
 ExperimentResult Experiment::run() {
@@ -325,9 +330,9 @@ ExperimentResult Experiment::run() {
   // the period's settled state; the first sample lands half a sample
   // period after the last rig's first control tick, so no series ever
   // records the pre-control transient.
-  const SimTime first_sample = first_control + scenario_.sample_period / 2;
+  const SimTime first_sample = first_control + kSamplePeriod / 2;
   for (auto& rig : rigs_) {
-    rig->sample_timer->start(scenario_.sample_period, first_sample);
+    rig->sample_timer->start(kSamplePeriod, first_sample);
   }
   psim_.run_until(scenario_.duration);
 

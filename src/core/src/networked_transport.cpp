@@ -35,17 +35,12 @@ device::OffloadReply decode_status(std::uint64_t id) {
 }  // namespace
 
 NetworkedOffloadTransport::NetworkedOffloadTransport(
-    sim::Simulator& sim, server::EdgeServer& server,
-    NetworkedTransportConfig config)
-    : NetworkedOffloadTransport(sim, sim, server, std::move(config)) {}
-
-NetworkedOffloadTransport::NetworkedOffloadTransport(
     sim::Simulator& device_sim, sim::Simulator& server_sim,
     server::EdgeServer& server, NetworkedTransportConfig config)
     : server_(server),
       config_(std::move(config)),
       path_(device_sim, server_sim, config_.uplink, config_.downlink,
-            config_.transport, config_.name) {
+            config_.name) {
   // Server side: a fully reassembled frame becomes an inference request;
   // its outcome is shipped back as a (small) downlink message.
   path_.uplink().set_on_message([this](std::uint64_t id, Bytes payload) {

@@ -1,6 +1,8 @@
 #include "ff/core/scenario_config.h"
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 
@@ -44,6 +46,28 @@ namespace {
   }
   return seconds_to_sim(seconds);
 }
+
+/// `key` as an integer in [lo, hi], or `fallback` when absent. A value
+/// outside the range throws naming the key and the range, so it can
+/// neither wrap in a narrowing cast nor be clamped into a different
+/// experiment; semantic ranges stay Scenario::validate()'s.
+[[nodiscard]] std::int64_t get_int_in(const Config& config,
+                                      const std::string& key,
+                                      std::int64_t fallback, std::int64_t lo,
+                                      std::int64_t hi) {
+  const std::int64_t value = config.get_int(key, fallback);
+  if (value < lo || value > hi) {
+    throw std::invalid_argument("Config: " + key + "=" +
+                                config.get_string(key, "") + " must be in [" +
+                                std::to_string(lo) + ", " +
+                                std::to_string(hi) + "]");
+  }
+  return value;
+}
+
+constexpr std::int64_t kIntMin = std::numeric_limits<int>::min();
+constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
 
 }  // namespace
 
@@ -103,17 +127,15 @@ Scenario scenario_from_config(const Config& config) {
   }
   s.shared_uplink_medium = config.get_bool("shared_medium",
                                            s.shared_uplink_medium);
-  s.uplink_medium_groups = static_cast<std::size_t>(std::max<std::int64_t>(
-      config.get_int("medium_groups",
-                     static_cast<std::int64_t>(s.uplink_medium_groups)),
-      1));
-  s.partitions = static_cast<std::size_t>(std::max<std::int64_t>(
-      config.get_int("partitions", static_cast<std::int64_t>(s.partitions)),
-      0));
-  s.partition_threads = static_cast<unsigned>(std::max<std::int64_t>(
-      config.get_int("partition_threads",
-                     static_cast<std::int64_t>(s.partition_threads)),
-      0));
+  s.uplink_medium_groups = static_cast<std::size_t>(get_int_in(
+      config, "medium_groups",
+      static_cast<std::int64_t>(s.uplink_medium_groups), 1, kInt64Max));
+  s.partitions = static_cast<std::size_t>(
+      get_int_in(config, "partitions",
+                 static_cast<std::int64_t>(s.partitions), 0, kInt64Max));
+  s.partition_threads = static_cast<unsigned>(
+      get_int_in(config, "partition_threads", s.partition_threads, 0,
+                 std::numeric_limits<unsigned>::max()));
 
   // Device overrides apply to every device; `devices` replicates the
   // first device to the requested count.
@@ -145,15 +167,14 @@ Scenario scenario_from_config(const Config& config) {
       d.deadline = get_duration(config, "device.deadline_ms", 1000.0);
     }
     d.frame_limit = static_cast<std::uint64_t>(
-        config.get_int("device.frame_limit",
-                       static_cast<std::int64_t>(d.frame_limit)));
-    d.frame.width = static_cast<int>(config.get_int("device.width",
-                                                    d.frame.width));
-    d.frame.height = static_cast<int>(config.get_int("device.height",
-                                                     d.frame.height));
-    d.frame.jpeg_quality =
-        static_cast<int>(config.get_int("device.quality",
-                                        d.frame.jpeg_quality));
+        get_int_in(config, "device.frame_limit",
+                   static_cast<std::int64_t>(d.frame_limit), 0, kInt64Max));
+    d.frame.width = static_cast<int>(
+        get_int_in(config, "device.width", d.frame.width, kIntMin, kIntMax));
+    d.frame.height = static_cast<int>(get_int_in(
+        config, "device.height", d.frame.height, kIntMin, kIntMax));
+    d.frame.jpeg_quality = static_cast<int>(get_int_in(
+        config, "device.quality", d.frame.jpeg_quality, kIntMin, kIntMax));
   }
 
   // Constant network override.
@@ -184,15 +205,19 @@ Scenario scenario_from_config(const Config& config) {
   // Scenario::fleet.placement.
   if (config.has("fleet.servers")) {
     const auto m = static_cast<std::size_t>(
-        std::max<std::int64_t>(config.get_int("fleet.servers", 1), 1));
+        get_int_in(config, "fleet.servers", 1, 1, kInt64Max));
     s.fleet = FleetTopology::uniform(s.server, m);
     for (auto& spec : s.fleet.servers) {
       spec.background_load = s.background_load;
       spec.background = s.background;
     }
   }
+  // Range-checked even without a policy, so a bad value never passes.
+  server::AdmissionConfig ac;
+  ac.max_queue_depth = static_cast<std::size_t>(
+      get_int_in(config, "fleet.admission.queue_limit",
+                 static_cast<std::int64_t>(ac.max_queue_depth), 1, kInt64Max));
   if (const auto policy = config.get("fleet.admission.policy")) {
-    server::AdmissionConfig ac;
     if (*policy == "none") {
       ac.policy = server::AdmissionPolicy::kNone;
     } else if (*policy == "token-bucket") {
@@ -206,10 +231,6 @@ Scenario scenario_from_config(const Config& config) {
     }
     ac.rate_fps = config.get_double("fleet.admission.rate", ac.rate_fps);
     ac.burst = config.get_double("fleet.admission.burst", ac.burst);
-    ac.max_queue_depth = static_cast<std::size_t>(std::max<std::int64_t>(
-        config.get_int("fleet.admission.queue_limit",
-                       static_cast<std::int64_t>(ac.max_queue_depth)),
-        1));
     s.server.admission = ac;
     for (auto& spec : s.fleet.servers) spec.config.admission = ac;
   }
@@ -228,9 +249,7 @@ ControllerFactory controller_factory_from_config(const Config& config) {
     if (name == "frame-feedback") {
       return make_controller_factory<control::FrameFeedbackController>(ff);
     }
-    control::QualityAdaptConfig qa;
-    qa.rate = ff;
-    return make_controller_factory<control::QualityAdaptController>(qa);
+    return make_controller_factory<control::QualityAdaptController>(ff);
   }
   if (name == "local-only") {
     return make_controller_factory<control::LocalOnlyController>();

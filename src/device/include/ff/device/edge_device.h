@@ -31,14 +31,6 @@ struct DeviceConfig {
   double source_fps{30.0};
   std::uint64_t frame_limit{0};            ///< 0 = unlimited; paper uses 4000
   SimDuration deadline{250 * kMillisecond};
-  std::size_t local_queue_capacity{2};
-  SimDuration telemetry_window{2 * kSecond};
-  double local_jitter_sigma{0.08};
-  double capture_jitter_fraction{0.0};
-  /// Nominal Wi-Fi PHY rate used to estimate radio airtime for the power
-  /// model (the radio transmits at PHY rate even when the shaped goodput
-  /// is lower).
-  Bandwidth radio_phy_rate{Bandwidth::mbps(20.0)};
 };
 
 class EdgeDevice {

@@ -1,6 +1,7 @@
 #pragma once
 
-// Video capture stand-in: emits frame ids at the source frame rate Fs.
+// Video capture stand-in: emits frame ids at the source frame rate Fs,
+// one exact frame period apart.
 // The paper sources ImageNet frames at 30 fps; content never crosses this
 // interface, only timing and (downstream) encoded size.
 
@@ -8,7 +9,6 @@
 #include <functional>
 
 #include "ff/sim/simulator.h"
-#include "ff/util/rng.h"
 
 namespace ff::device {
 
@@ -17,8 +17,6 @@ struct FrameSourceConfig {
   /// Stop after this many frames (0 = unlimited). The paper's experiments
   /// stream 4000 frames.
   std::uint64_t frame_limit{0};
-  /// Capture jitter as a fraction of the frame period (0 = metronomic).
-  double jitter_fraction{0.0};
 };
 
 class FrameSource {
@@ -26,8 +24,7 @@ class FrameSource {
   /// `on_frame(frame_index, capture_time)` fires once per frame.
   using FrameFn = std::function<void(std::uint64_t, SimTime)>;
 
-  FrameSource(sim::Simulator& sim, FrameSourceConfig config, FrameFn on_frame,
-              Rng rng);
+  FrameSource(sim::Simulator& sim, FrameSourceConfig config, FrameFn on_frame);
 
   FrameSource(const FrameSource&) = delete;
   FrameSource& operator=(const FrameSource&) = delete;
@@ -47,7 +44,6 @@ class FrameSource {
   sim::Simulator& sim_;
   FrameSourceConfig config_;
   FrameFn on_frame_;
-  Rng rng_;
   bool running_{false};
   std::uint64_t emitted_{0};
   sim::EventId pending_{};

@@ -2,8 +2,9 @@
 
 // On-device inference service: a single-worker queue whose service time
 // comes from the device/model latency model. Its sustainable rate is the
-// paper's Pl (Table II). The queue is tiny -- a real-time pipeline skips
-// stale frames rather than queueing them.
+// paper's Pl (Table II). The queue is tiny -- two frames, counting the one
+// executing -- because a real-time pipeline skips stale frames rather than
+// queueing them.
 
 #include <cstdint>
 #include <deque>
@@ -14,18 +15,13 @@
 
 namespace ff::device {
 
-struct LocalEngineConfig {
-  /// Frames admitted at once (including the one executing).
-  std::size_t queue_capacity{2};
-};
-
 class LocalEngine {
  public:
   /// `on_complete(frame_id, capture_time)` fires when inference finishes.
   using CompleteFn = std::function<void(std::uint64_t, SimTime)>;
 
   LocalEngine(sim::Simulator& sim, models::LocalLatencyModel latency,
-              LocalEngineConfig config, CompleteFn on_complete);
+              CompleteFn on_complete);
 
   LocalEngine(const LocalEngine&) = delete;
   LocalEngine& operator=(const LocalEngine&) = delete;
@@ -60,7 +56,6 @@ class LocalEngine {
 
   sim::Simulator& sim_;
   models::LocalLatencyModel latency_;
-  LocalEngineConfig config_;
   CompleteFn on_complete_;
   std::deque<Job> queue_;
   bool busy_{false};

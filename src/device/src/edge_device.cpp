@@ -9,6 +9,14 @@ namespace {
 /// Probe ids live far above any frame index so the transport can share one
 /// id space.
 constexpr std::uint64_t kProbeIdBase = 1ULL << 48;
+/// Span of the telemetry's sliding rate windows.
+constexpr SimDuration kTelemetryWindow = 2 * kSecond;
+/// Relative jitter (sigma) of local inference latency around 1/Pl.
+constexpr double kLocalJitterSigma = 0.08;
+/// Nominal Wi-Fi PHY rate used to estimate radio airtime for the power
+/// model (the radio transmits at PHY rate even when the shaped goodput
+/// is lower).
+constexpr Bandwidth kRadioPhyRate = Bandwidth::mbps(20.0);
 
 }  // namespace
 
@@ -17,14 +25,13 @@ EdgeDevice::EdgeDevice(sim::Simulator& sim, OffloadTransport& transport,
     : sim_(sim),
       config_(std::move(config)),
       frame_payload_(models::frame_bytes(config_.frame)),
-      telemetry_(config_.telemetry_window),
+      telemetry_(kTelemetryWindow),
       dispatcher_(config_.source_fps, 0.0),
       local_(sim,
              models::LocalLatencyModel(models::get_device(config_.profile),
                                        config_.model,
                                        sim.make_rng(config_.name + "/local"),
-                                       config_.local_jitter_sigma),
-             LocalEngineConfig{config_.local_queue_capacity},
+                                       kLocalJitterSigma),
              [this](std::uint64_t frame_id, SimTime) {
                telemetry_.record_local_completion(sim_.now());
                trace(sim_.now(), obs::ev::kFrameLocalCompleted, frame_id);
@@ -32,10 +39,8 @@ EdgeDevice::EdgeDevice(sim::Simulator& sim, OffloadTransport& transport,
       offload_(sim, transport, telemetry_,
                OffloadClientConfig{config_.deadline, config_.name}),
       source_(sim,
-              FrameSourceConfig{Rate{config_.source_fps}, config_.frame_limit,
-                                config_.capture_jitter_fraction},
-              [this](std::uint64_t index, SimTime t) { on_frame(index, t); },
-              sim.make_rng(config_.name + "/camera")),
+              FrameSourceConfig{Rate{config_.source_fps}, config_.frame_limit},
+              [this](std::uint64_t index, SimTime t) { on_frame(index, t); }),
       next_probe_id_(kProbeIdBase) {}
 
 void EdgeDevice::start() { source_.start(); }
@@ -120,11 +125,11 @@ double EdgeDevice::power_draw_w() {
       models::default_power_profile(config_.profile);
   // Airtime estimate: frames/s * on-air time per frame at the PHY rate.
   const double tx_per_frame_s = sim_to_seconds(
-      config_.radio_phy_rate.serialization_time(frame_payload_));
+      kRadioPhyRate.serialization_time(frame_payload_));
   const double tx_fraction =
       telemetry_.offload_attempt_rate(now) * tx_per_frame_s;
   const double rx_per_result_s = sim_to_seconds(
-      config_.radio_phy_rate.serialization_time(Bytes{models::kResultBytes}));
+      kRadioPhyRate.serialization_time(Bytes{models::kResultBytes}));
   const double rx_fraction =
       telemetry_.offload_success_rate(now) * rx_per_result_s;
   return models::power_draw_w(profile, cpu_utilization(), tx_fraction,

@@ -1,13 +1,12 @@
 #include "ff/device/frame_source.h"
 
-#include <algorithm>
 #include <utility>
 
 namespace ff::device {
 
 FrameSource::FrameSource(sim::Simulator& sim, FrameSourceConfig config,
-                         FrameFn on_frame, Rng rng)
-    : sim_(sim), config_(config), on_frame_(std::move(on_frame)), rng_(rng) {}
+                         FrameFn on_frame)
+    : sim_(sim), config_(config), on_frame_(std::move(on_frame)) {}
 
 void FrameSource::start() {
   if (running_) return;
@@ -23,13 +22,7 @@ void FrameSource::stop() {
 }
 
 void FrameSource::arm() {
-  SimDuration gap = config_.fps.period();
-  if (config_.jitter_fraction > 0.0) {
-    const double j = config_.jitter_fraction * static_cast<double>(gap);
-    const double jitter = rng_.uniform(-j, j);
-    gap = std::max<SimDuration>(gap + static_cast<SimDuration>(jitter), 1);
-  }
-  pending_ = sim_.schedule_in(gap, [this] { emit(); });
+  pending_ = sim_.schedule_in(config_.fps.period(), [this] { emit(); });
 }
 
 void FrameSource::emit() {

@@ -3,16 +3,19 @@
 #include <utility>
 
 namespace ff::device {
+namespace {
+
+/// Frames admitted at once (including the one executing).
+constexpr std::size_t kQueueCapacity = 2;
+
+}  // namespace
 
 LocalEngine::LocalEngine(sim::Simulator& sim, models::LocalLatencyModel latency,
-                         LocalEngineConfig config, CompleteFn on_complete)
-    : sim_(sim),
-      latency_(latency),
-      config_(config),
-      on_complete_(std::move(on_complete)) {}
+                         CompleteFn on_complete)
+    : sim_(sim), latency_(latency), on_complete_(std::move(on_complete)) {}
 
 bool LocalEngine::submit(std::uint64_t frame_id, SimTime capture_time) {
-  if (queue_depth() >= config_.queue_capacity) {
+  if (queue_depth() >= kQueueCapacity) {
     ++rejected_;
     return false;
   }

@@ -5,7 +5,7 @@
 // fleet_topology.h) so the experiment runner never depends on this
 // module; policies here are installed via Scenario::fleet.placement.
 //
-// All three policies decide from build-time state only, so re-placement
+// Both policies decide from build-time state only, so re-placement
 // on rejection (invoked concurrently from partition worker threads) is
 // const, thread-safe and deterministic by construction: the failover
 // target is a pure function of (current server, fleet size).
@@ -59,8 +59,8 @@ class LeastLoadedPlacement final : public core::PlacementPolicy {
 };
 
 /// The manager's idealized capacity belief used by the reservation
-/// comparison bench: MobileNetV3-Small GPU throughput at batch 15 with a
-/// 0.9 safety factor.
+/// comparison bench: MobileNetV3-Small GPU throughput at batch 15 (the
+/// manager grants 90 % of it).
 [[nodiscard]] server::ReservationConfig default_reservation_config();
 
 /// One ReservationController per device against a shared manager, with
@@ -70,46 +70,10 @@ class LeastLoadedPlacement final : public core::PlacementPolicy {
 [[nodiscard]] core::ControllerFactory reservation_controller_factory(
     std::shared_ptr<server::ReservationManager> manager);
 
-/// Reservation-based placement: each server gets its own
-/// ReservationManager; a device is placed on the server with the most
-/// remaining granted capacity and reserves its source rate there. On
-/// rejection the device fails over around the ring like LeastLoaded.
-class ReservationPlacement final : public core::PlacementPolicy {
- public:
-  explicit ReservationPlacement(
-      server::ReservationConfig config = default_reservation_config())
-      : config_(config) {}
-
-  [[nodiscard]] std::string_view name() const override {
-    return "reservation";
-  }
-
-  [[nodiscard]] std::size_t place(std::size_t device_index,
-                                  const device::DeviceConfig& device,
-                                  const core::PlacementView& view) override;
-
-  [[nodiscard]] std::size_t on_rejection(
-      std::size_t device_index, std::size_t current_server,
-      std::size_t server_count, std::uint64_t rejections_total) const override;
-
-  /// The per-server managers (created lazily by place()); exposed so a
-  /// harness can pair the placement with reservation controllers.
-  [[nodiscard]] const std::vector<std::shared_ptr<server::ReservationManager>>&
-  managers() const {
-    return managers_;
-  }
-
- private:
-  server::ReservationConfig config_;
-  std::vector<std::shared_ptr<server::ReservationManager>> managers_;
-};
-
 /// PlacementFactory adapters for Scenario::fleet.placement (factories
 /// must be pure: each call returns a fresh policy).
 [[nodiscard]] core::PlacementFactory static_placement(
     std::vector<std::size_t> assignments = {});
 [[nodiscard]] core::PlacementFactory least_loaded_placement();
-[[nodiscard]] core::PlacementFactory reservation_placement(
-    server::ReservationConfig config = default_reservation_config());
 
 }  // namespace ff::fleet

@@ -44,8 +44,7 @@ std::size_t LeastLoadedPlacement::on_rejection(
 
 server::ReservationConfig default_reservation_config() {
   return {models::gpu_throughput(
-              models::get_model(models::ModelId::kMobileNetV3Small), 15),
-          0.9};
+      models::get_model(models::ModelId::kMobileNetV3Small), 15)};
 }
 
 core::ControllerFactory reservation_controller_factory(
@@ -60,41 +59,6 @@ core::ControllerFactory reservation_controller_factory(
   };
 }
 
-std::size_t ReservationPlacement::place(std::size_t device_index,
-                                        const device::DeviceConfig& device,
-                                        const core::PlacementView& view) {
-  if (view.server_count == 0) {
-    throw std::invalid_argument("ReservationPlacement: empty fleet");
-  }
-  while (managers_.size() < view.server_count) {
-    managers_.push_back(
-        std::make_shared<server::ReservationManager>(config_));
-  }
-  // Most remaining believed capacity wins; ties break low. The reserve is
-  // the device's source rate -- the most it could ever demand.
-  std::size_t best = 0;
-  double best_room = -1.0;
-  for (std::size_t s = 0; s < view.server_count; ++s) {
-    const double room = config_.capacity_fps * config_.safety_factor -
-                        managers_[s]->total_granted();
-    if (room > best_room) {
-      best_room = room;
-      best = s;
-    }
-  }
-  managers_[best]->request(device_index + 1, device.source_fps);
-  return best;
-}
-
-std::size_t ReservationPlacement::on_rejection(
-    std::size_t device_index, std::size_t current_server,
-    std::size_t server_count, std::uint64_t rejections_total) const {
-  (void)device_index;
-  (void)rejections_total;
-  if (server_count <= 1) return current_server;
-  return (current_server + 1) % server_count;
-}
-
 core::PlacementFactory static_placement(std::vector<std::size_t> assignments) {
   return [assignments]() {
     return std::make_unique<StaticPlacement>(assignments);
@@ -103,13 +67,6 @@ core::PlacementFactory static_placement(std::vector<std::size_t> assignments) {
 
 core::PlacementFactory least_loaded_placement() {
   return []() { return std::make_unique<LeastLoadedPlacement>(); };
-}
-
-core::PlacementFactory reservation_placement(
-    server::ReservationConfig config) {
-  return [config]() {
-    return std::make_unique<ReservationPlacement>(config);
-  };
 }
 
 }  // namespace ff::fleet

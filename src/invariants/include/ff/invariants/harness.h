@@ -14,10 +14,9 @@
 namespace ff::invariants {
 
 struct HarnessOptions {
-  InvariantThresholds thresholds{};
   /// Measure wall-clock cost per simulator event (chunked, p99) and check
-  /// it against thresholds.event_cost_p99_us. Off by default in unit
-  /// tests; on in the physics-CI bench.
+  /// it against its bound. Off by default in unit tests; on in the
+  /// physics-CI bench.
   bool measure_event_cost{false};
   /// Directory for captures and traces; "" disables capture entirely
   /// (created on demand when needed).

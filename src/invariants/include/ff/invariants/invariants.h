@@ -16,27 +16,6 @@
 
 namespace ff::invariants {
 
-/// Bounds for the non-exact invariants. Frame conservation takes no
-/// threshold: it holds exactly or it is a bug.
-struct InvariantThresholds {
-  /// Po_target steps smaller than this (fps) are measurement noise, not
-  /// actuation reversals.
-  double po_deadband_fps{1.0};
-  /// Maximum direction reversals of Po_target per minute of run time.
-  double po_flaps_per_minute{12.0};
-  /// Settling time granted after the disturbance closes before the
-  /// timeout rate T must have converged.
-  SimDuration convergence_settle{10 * kSecond};
-  /// Converged means: tail mean of T within this many timeouts/s of the
-  /// pre-disturbance baseline (or of zero when there is no baseline).
-  double recovered_timeout_slack{1.0};
-  /// The post-disturbance trend must not rise: second half mean of T may
-  /// exceed the first half by at most this (timeouts/s).
-  double trend_slack{0.5};
-  /// p99 wall-clock cost per simulator event (us), when measured.
-  double event_cost_p99_us{250.0};
-};
-
 /// One evaluated invariant: what was measured, what was allowed.
 struct InvariantCheck {
   std::string name;
@@ -66,12 +45,12 @@ struct ScenarioReport {
   [[nodiscard]] std::string failed_names() const;
 };
 
-/// Evaluates every invariant against a finished run of `scenario`. Pass
-/// `event_cost_p99_us < 0` when per-event wall cost was not measured (the
-/// check is then omitted).
+/// Evaluates every invariant against a finished run of `scenario`, with
+/// the bounds fixed in invariants.cpp. Pass `event_cost_p99_us < 0` when
+/// per-event wall cost was not measured (the check is then omitted).
 [[nodiscard]] std::vector<InvariantCheck> evaluate_invariants(
     const DisturbanceScenario& scenario, const core::ExperimentResult& result,
-    const InvariantThresholds& thresholds, double event_cost_p99_us = -1.0);
+    double event_cost_p99_us = -1.0);
 
 /// Machine-readable summary (INVARIANTS.json): suite verdict plus every
 /// scenario's checks, fingerprints as hex strings.

@@ -29,14 +29,14 @@ struct DisturbanceScenario {
   SimTime disturbance_end{0};
   /// When > 0, the harness re-runs the scenario with this partition count
   /// and adds a partition_fingerprint_equality check: the re-run's result
-  /// fingerprint must equal the base run's bit-for-bit. The base scenario
-  /// must itself set partitions >= 1 (fingerprints are only comparable
-  /// within the partitioned mode).
+  /// fingerprint must equal the base run's bit-for-bit. Any base partition
+  /// count works (0 is an alias for 1; every K gives one fingerprint).
   std::size_t compare_partitions{0};
 };
 
 /// The default suite: loss_burst, bandwidth_collapse, retry_storm,
-/// server_overload, server_stall, device_churn and partition_determinism.
+/// server_overload, server_stall, device_churn, fleet_rebalance and
+/// partition_determinism.
 /// Every scenario is deterministic (fixed seed) so harness runs are
 /// reproducible and replayable bit-for-bit.
 [[nodiscard]] std::vector<DisturbanceScenario> default_suite();

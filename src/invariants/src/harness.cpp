@@ -76,8 +76,7 @@ ScenarioReport run_scenario(const DisturbanceScenario& scenario,
   report.fingerprint = sweep::result_fingerprint(result);
   report.events_executed = result.events_executed;
   report.checks = evaluate_invariants(
-      scenario, result, options.thresholds,
-      options.measure_event_cost ? probe.p99_us() : -1.0);
+      scenario, result, options.measure_event_cost ? probe.p99_us() : -1.0);
 
   // Partitioned-kernel determinism: re-run with the comparison partition
   // count; the result fingerprint must match bit-for-bit.

@@ -10,6 +10,26 @@
 namespace ff::invariants {
 namespace {
 
+// Bounds for the non-exact invariants. Frame conservation takes no
+// threshold: it holds exactly or it is a bug.
+
+/// Po_target steps smaller than this (fps) are measurement noise, not
+/// actuation reversals.
+constexpr double kPoDeadbandFps = 1.0;
+/// Maximum direction reversals of Po_target per minute of run time.
+constexpr double kPoFlapsPerMinute = 12.0;
+/// Settling time granted after the disturbance closes before the timeout
+/// rate T must have converged.
+constexpr SimDuration kConvergenceSettle = 10 * kSecond;
+/// Converged means: tail mean of T within this many timeouts/s of the
+/// pre-disturbance baseline (or of zero when there is no baseline).
+constexpr double kRecoveredTimeoutSlack = 1.0;
+/// The post-disturbance trend must not rise: second half mean of T may
+/// exceed the first half by at most this (timeouts/s).
+constexpr double kTrendSlack = 0.5;
+/// p99 wall-clock cost per simulator event (us), when measured.
+constexpr double kEventCostP99Us = 250.0;
+
 std::string fmt_double(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.6g", v);
@@ -126,38 +146,36 @@ InvariantCheck check_fleet_conservation(const core::ExperimentResult& result) {
   return c;
 }
 
-InvariantCheck check_po_flapping(const core::ExperimentResult& result,
-                                 const InvariantThresholds& th) {
+InvariantCheck check_po_flapping(const core::ExperimentResult& result) {
   InvariantCheck c;
   c.name = "po_flapping";
-  c.bound = th.po_flaps_per_minute;
+  c.bound = kPoFlapsPerMinute;
   const double minutes =
       static_cast<double>(result.duration) / (60.0 * kSecond);
   double worst = 0.0;
   for (const core::DeviceResult& d : result.devices) {
     const TimeSeries* po = d.series.find("Po_target");
     if (po == nullptr || minutes <= 0.0) continue;
-    const auto reversals = count_reversals(*po, th.po_deadband_fps);
+    const auto reversals = count_reversals(*po, kPoDeadbandFps);
     worst = std::max(worst, static_cast<double>(reversals) / minutes);
   }
   c.observed = worst;
   c.passed = worst <= c.bound;
   c.detail = "Po_target direction reversals per minute, deadband " +
-             fmt_double(th.po_deadband_fps) + " fps";
+             fmt_double(kPoDeadbandFps) + " fps";
   return c;
 }
 
 InvariantCheck check_convergence(const DisturbanceScenario& scenario,
-                                 const core::ExperimentResult& result,
-                                 const InvariantThresholds& th) {
+                                 const core::ExperimentResult& result) {
   InvariantCheck c;
   c.name = "t_convergence";
   c.passed = true;
   const SimTime end = scenario.disturbance_end;
-  const SimTime settle_end = end + th.convergence_settle;
+  const SimTime settle_end = end + kConvergenceSettle;
   const SimTime horizon = result.duration;
   double worst_tail = 0.0;
-  double bound = th.recovered_timeout_slack;
+  double bound = kRecoveredTimeoutSlack;
   std::string detail;
   for (const core::DeviceResult& d : result.devices) {
     const TimeSeries* t = d.series.find("T");
@@ -166,7 +184,7 @@ InvariantCheck check_convergence(const DisturbanceScenario& scenario,
         scenario.disturbance_start > 0
             ? t->mean_between(0, scenario.disturbance_start)
             : 0.0;
-    const double device_bound = baseline + th.recovered_timeout_slack;
+    const double device_bound = baseline + kRecoveredTimeoutSlack;
     const double tail = t->mean_between(settle_end, horizon);
     // Trend over the whole recovery: the second half must not be worse
     // than the first (the loop converges instead of oscillating).
@@ -175,7 +193,7 @@ InvariantCheck check_convergence(const DisturbanceScenario& scenario,
     const double h2 = t->mean_between(mid, horizon);
     worst_tail = std::max(worst_tail, tail);
     bound = std::max(bound, device_bound);
-    if (tail > device_bound || h2 > h1 + th.trend_slack) {
+    if (tail > device_bound || h2 > h1 + kTrendSlack) {
       c.passed = false;
       if (!detail.empty()) detail += "; ";
       detail += d.name + ": tail T " + fmt_double(tail) + "/s vs bound " +
@@ -187,8 +205,8 @@ InvariantCheck check_convergence(const DisturbanceScenario& scenario,
   c.bound = bound;
   if (c.passed) {
     detail = "timeout rate back under baseline + " +
-             fmt_double(th.recovered_timeout_slack) + "/s within " +
-             fmt_double(static_cast<double>(th.convergence_settle) / kSecond) +
+             fmt_double(kRecoveredTimeoutSlack) + "/s within " +
+             fmt_double(static_cast<double>(kConvergenceSettle) / kSecond) +
              " s of the disturbance closing, non-increasing trend";
   }
   c.detail = detail;
@@ -227,13 +245,12 @@ InvariantCheck check_deadline_p99(const DisturbanceScenario& scenario,
   return c;
 }
 
-InvariantCheck check_event_cost(double p99_us,
-                                const InvariantThresholds& th) {
+InvariantCheck check_event_cost(double p99_us) {
   InvariantCheck c;
   c.name = "event_cost_p99";
   c.observed = p99_us;
-  c.bound = th.event_cost_p99_us;
-  c.passed = p99_us <= th.event_cost_p99_us;
+  c.bound = kEventCostP99Us;
+  c.passed = p99_us <= kEventCostP99Us;
   c.detail = "wall-clock p99 cost per simulator event (us), chunk-averaged";
   return c;
 }
@@ -257,15 +274,15 @@ std::string ScenarioReport::failed_names() const {
 
 [[nodiscard]] std::vector<InvariantCheck> evaluate_invariants(
     const DisturbanceScenario& scenario, const core::ExperimentResult& result,
-    const InvariantThresholds& thresholds, double event_cost_p99_us) {
+    double event_cost_p99_us) {
   std::vector<InvariantCheck> checks;
   checks.push_back(check_conservation(result));
   checks.push_back(check_fleet_conservation(result));
-  checks.push_back(check_po_flapping(result, thresholds));
-  checks.push_back(check_convergence(scenario, result, thresholds));
+  checks.push_back(check_po_flapping(result));
+  checks.push_back(check_convergence(scenario, result));
   checks.push_back(check_deadline_p99(scenario, result));
   if (event_cost_p99_us >= 0.0) {
-    checks.push_back(check_event_cost(event_cost_p99_us, thresholds));
+    checks.push_back(check_event_cost(event_cost_p99_us));
   }
   return checks;
 }

@@ -6,6 +6,10 @@
 // retransmitted on an RTO until acknowledged. This is where NetEm-style
 // loss turns into end-to-end latency inflation -- the mechanism behind the
 // paper's network-induced timeouts (Tn).
+//
+// Fragments carry kDefaultMtuPayload bytes each. The RTO, its backoff
+// cap, the retry budget, the reassembly timeout and the receiver's dedupe
+// window are fixed in transport.cpp.
 
 #include <cstdint>
 #include <deque>
@@ -21,14 +25,6 @@
 #include "ff/sim/simulator.h"
 
 namespace ff::net {
-
-/// Fragments carry kDefaultMtuPayload bytes each; the RTO backoff cap and
-/// the receiver's dedupe window are fixed in transport.cpp.
-struct TransportConfig {
-  SimDuration rto{100 * kMillisecond};       ///< base retransmit timeout
-  int max_retries{8};  ///< per fragment, before the message fails
-  SimDuration reassembly_timeout{3 * kSecond};
-};
 
 struct ChannelStats {
   std::uint64_t messages_sent{0};
@@ -80,7 +76,7 @@ class ReliableChannel {
   /// The sender side runs on `data_link.simulator()`, the receiver side
   /// on `ack_link.simulator()` (identical in unpartitioned runs).
   ReliableChannel(Link& data_link, Link& ack_link, std::uint64_t flow_id,
-                  TransportConfig config, std::string name = "chan");
+                  std::string name = "chan");
 
   ReliableChannel(const ReliableChannel&) = delete;
   ReliableChannel& operator=(const ReliableChannel&) = delete;
@@ -101,7 +97,6 @@ class ReliableChannel {
 
   [[nodiscard]] std::uint64_t flow_id() const { return flow_id_; }
   [[nodiscard]] const ChannelStats& stats() const { return stats_; }
-  [[nodiscard]] const TransportConfig& config() const { return config_; }
 
   /// Attaches a trace sink for retransmit/failure events (nullptr
   /// detaches). Not owned.
@@ -143,7 +138,6 @@ class ReliableChannel {
   Link& data_link_;
   Link& ack_link_;
   std::uint64_t flow_id_;
-  TransportConfig config_;
   std::string name_;
 
   MessageFn on_message_;
@@ -162,7 +156,7 @@ class ReliableChannel {
 class DuplexPath {
  public:
   DuplexPath(sim::Simulator& sim, LinkConfig forward, LinkConfig reverse,
-             TransportConfig transport = {}, std::string name = "path");
+             std::string name = "path");
 
   /// Partitioned form: the forward link (A's transmissions -- uplink data
   /// and downlink acks) serializes on `forward_sim`, the reverse link
@@ -170,7 +164,7 @@ class DuplexPath {
   /// edge (Link::bind_boundary) to route deliveries across.
   DuplexPath(sim::Simulator& forward_sim, sim::Simulator& reverse_sim,
              LinkConfig forward, LinkConfig reverse,
-             TransportConfig transport = {}, std::string name = "path");
+             std::string name = "path");
 
   DuplexPath(const DuplexPath&) = delete;
   DuplexPath& operator=(const DuplexPath&) = delete;

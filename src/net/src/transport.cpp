@@ -10,24 +10,28 @@ namespace ff::net {
 
 namespace {
 
-/// The RTO doubles per attempt, capped at rto << kRtoBackoffCap: without
+/// Base retransmit timeout.
+constexpr SimDuration kRto = 100 * kMillisecond;
+/// The RTO doubles per attempt, capped at kRto << kRtoBackoffCap: without
 /// backoff, retransmissions of still-live messages can exceed link
 /// capacity and keep it collapsed after conditions recover.
 constexpr int kRtoBackoffCap = 5;
+/// Retransmissions per fragment before the message fails.
+constexpr int kMaxRetries = 8;
+/// A partial message older than this is dropped from the receiver.
+constexpr SimDuration kReassemblyTimeout = 3 * kSecond;
 /// Completed message ids the receiver remembers to drop duplicates.
 constexpr std::size_t kCompletedHistory = 4096;
 
 }  // namespace
 
 ReliableChannel::ReliableChannel(Link& data_link, Link& ack_link,
-                                 std::uint64_t flow_id, TransportConfig config,
-                                 std::string name)
+                                 std::uint64_t flow_id, std::string name)
     : send_sim_(data_link.simulator()),
       recv_sim_(ack_link.simulator()),
       data_link_(data_link),
       ack_link_(ack_link),
       flow_id_(flow_id),
-      config_(config),
       name_(std::move(name)) {}
 
 void ReliableChannel::send(std::uint64_t message_id, Bytes payload) {
@@ -92,11 +96,11 @@ void ReliableChannel::transmit_fragment(std::uint64_t message_id,
 void ReliableChannel::arm_rto(std::uint64_t message_id, std::uint32_t fragment,
                               int attempt) {
   const int shift = std::min(attempt, kRtoBackoffCap);
-  const SimDuration rto = config_.rto << shift;
+  const SimDuration rto = kRto << shift;
   send_sim_.schedule_in(rto, [this, message_id, fragment, attempt] {
     const auto it = outbox_.find(message_id);
     if (it == outbox_.end() || it->second.acked[fragment]) return;
-    if (it->second.retries[fragment] >= config_.max_retries) {
+    if (it->second.retries[fragment] >= kMaxRetries) {
       ++stats_.sends_failed;
       FF_DEBUG(name_) << "message " << message_id << " failed (fragment "
                       << fragment << " exhausted retries)";
@@ -208,7 +212,7 @@ void ReliableChannel::remember_completed(std::uint64_t message_id) {
 }
 
 void ReliableChannel::gc_partials() {
-  const SimTime cutoff = recv_sim_.now() - config_.reassembly_timeout;
+  const SimTime cutoff = recv_sim_.now() - kReassemblyTimeout;
   for (auto it = inbox_.begin(); it != inbox_.end();) {
     if (it->second.first_fragment_at < cutoff) {
       ++stats_.partials_expired;
@@ -220,18 +224,17 @@ void ReliableChannel::gc_partials() {
 }
 
 DuplexPath::DuplexPath(sim::Simulator& sim, LinkConfig forward,
-                       LinkConfig reverse, TransportConfig transport,
-                       std::string name)
-    : DuplexPath(sim, sim, std::move(forward), std::move(reverse), transport,
+                       LinkConfig reverse, std::string name)
+    : DuplexPath(sim, sim, std::move(forward), std::move(reverse),
                  std::move(name)) {}
 
 DuplexPath::DuplexPath(sim::Simulator& forward_sim, sim::Simulator& reverse_sim,
                        LinkConfig forward, LinkConfig reverse,
-                       TransportConfig transport, std::string name)
+                       std::string name)
     : forward_(forward_sim, std::move(forward)),
       reverse_(reverse_sim, std::move(reverse)),
-      uplink_(forward_, reverse_, 0, transport, name + "/up"),
-      downlink_(reverse_, forward_, 1, transport, name + "/down") {
+      uplink_(forward_, reverse_, 0, name + "/up"),
+      downlink_(reverse_, forward_, 1, name + "/down") {
   // Forward link carries uplink data and downlink acks.
   forward_.set_receiver([this](const Packet& p) {
     if (p.kind == PacketKind::kData) {

@@ -149,10 +149,10 @@ class JsonlTraceSink final : public TraceSink {
 
 /// Serializes emits into a wrapped sink (not owned). TraceSink
 /// implementations are single-threaded by contract; wrap one in this when
-/// several experiments running on pool workers must share it (the sweep
-/// engine does this for SweepConfig::trace_experiments). Event order
-/// across threads is whatever the mutex arbitration yields; each event is
-/// delivered intact.
+/// several threads must share it (a partitioned Experiment does this when
+/// its windows run on more than one worker). Event order across threads
+/// is whatever the mutex arbitration yields; each event is delivered
+/// intact.
 class SynchronizedTraceSink final : public TraceSink {
  public:
   explicit SynchronizedTraceSink(TraceSink& inner) : inner_(&inner) {}

@@ -24,13 +24,10 @@ namespace ff::server {
 struct ServerConfig {
   std::string name{"edge-server"};
   int batch_limit{15};            ///< per model, per batch (paper: 15)
-  double gpu_jitter_sigma{0.05};  ///< multiplicative batch-latency jitter
   /// When false, the queue remainder past the batch limit stays queued
-  /// instead of being rejected (ablation knob; the paper rejects).
+  /// instead of being rejected (ablation knob; the paper rejects). A
+  /// per-model queue is still capped (edge_server.cpp's memory guard).
   bool reject_overflow{true};
-  /// Hard cap on any per-model queue; beyond it requests are rejected on
-  /// arrival even with reject_overflow=false (memory guard).
-  std::size_t queue_hard_limit{1024};
   /// Admission gate consulted before queueing (default: admit all, the
   /// legacy behavior). Rejections surface as kRejectedAdmission.
   AdmissionConfig admission{};

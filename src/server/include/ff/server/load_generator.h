@@ -47,7 +47,6 @@ struct LoadGeneratorConfig {
   models::ModelId model{models::ModelId::kMobileNetV3Small};
   Bytes payload{Bytes{18000}};
   std::uint64_t client_id{1'000'000};  ///< distinct from real devices
-  bool poisson{true};                  ///< exponential vs fixed inter-arrival
 };
 
 /// Drives an EdgeServer with requests following a LoadSchedule.

@@ -18,9 +18,6 @@ namespace ff::server {
 struct ReservationConfig {
   /// The manager's belief about server capacity, frames/second.
   double capacity_fps{150.0};
-  /// Grant at most this fraction of believed capacity (headroom for
-  /// batching latency).
-  double safety_factor{0.9};
 };
 
 class ReservationManager {

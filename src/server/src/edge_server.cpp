@@ -7,6 +7,15 @@
 #include "ff/util/logging.h"
 
 namespace ff::server {
+namespace {
+
+/// Multiplicative batch-latency jitter.
+constexpr double kGpuJitterSigma = 0.05;
+/// Hard cap on any per-model queue; beyond it requests are rejected on
+/// arrival even with reject_overflow=false (memory guard).
+constexpr std::size_t kQueueHardLimit = 1024;
+
+}  // namespace
 
 EdgeServer::EdgeServer(sim::Simulator& sim, ServerConfig config)
     : sim_(sim), config_(std::move(config)), admission_(config_.admission) {}
@@ -22,7 +31,7 @@ EdgeServer::ModelQueue& EdgeServer::queue_for(models::ModelId model) {
           model,
           sim_.make_rng(config_.name + "/gpu/" +
                         std::string(models::model_name(model))),
-          config_.gpu_jitter_sigma)});
+          kGpuJitterSigma)});
   return queues_.back();
 }
 
@@ -35,7 +44,7 @@ void EdgeServer::submit(InferenceRequest request, CompletionFn on_complete) {
     return;
   }
   ModelQueue& q = queue_for(request.model);
-  if (q.pending.size() >= config_.queue_hard_limit) {
+  if (q.pending.size() >= kQueueHardLimit) {
     reject(PendingRequest{std::move(request), std::move(on_complete)});
     return;
   }

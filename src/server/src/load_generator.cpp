@@ -58,22 +58,16 @@ void LoadGenerator::start() {
 
 void LoadGenerator::arm_next() {
   const Rate rate = schedule_.at(sim_.now());
-  SimDuration gap;
   if (rate.per_second <= 0.0) {
     // Idle phase: poll for the next phase boundary rather than computing it
     // exactly; 100 ms granularity is far below any schedule step.
-    gap = 100 * kMillisecond;
-    sim_.schedule_in(gap, [this] { arm_next(); });
+    sim_.schedule_in(100 * kMillisecond, [this] { arm_next(); });
     return;
   }
-  if (config_.poisson) {
-    gap = std::max<SimDuration>(
-        static_cast<SimDuration>(rng_.exponential(1.0 / rate.per_second) *
-                                 static_cast<double>(kSecond)),
-        1);
-  } else {
-    gap = rate.period();
-  }
+  const SimDuration gap = std::max<SimDuration>(
+      static_cast<SimDuration>(rng_.exponential(1.0 / rate.per_second) *
+                               static_cast<double>(kSecond)),
+      1);
   sim_.schedule_in(gap, [this] { fire(); });
 }
 

@@ -4,6 +4,13 @@
 #include <vector>
 
 namespace ff::server {
+namespace {
+
+/// Grant at most this fraction of believed capacity (headroom for
+/// batching latency).
+constexpr double kSafetyFactor = 0.9;
+
+}  // namespace
 
 ReservationManager::ReservationManager(ReservationConfig config)
     : config_(config) {}
@@ -35,7 +42,7 @@ void ReservationManager::recompute() {
   grants_.clear();
   if (demands_.empty()) return;
 
-  double remaining = config_.capacity_fps * config_.safety_factor;
+  double remaining = config_.capacity_fps * kSafetyFactor;
 
   // Water-filling: satisfy the smallest demands first; split what is left
   // equally among the still-unsatisfied.

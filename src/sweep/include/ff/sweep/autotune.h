@@ -18,14 +18,11 @@ namespace ff::sweep {
 
 struct AutoTuneConfig {
   /// Scenario to evaluate on; must contain exactly one device. The
-  /// default is the paper's Fig. 2 setup (loss injected at 27 s).
+  /// default is the paper's Fig. 2 setup (loss injected at 27 s, where
+  /// autotune.cpp splits the scoring windows).
   core::Scenario scenario{core::Scenario::paper_tuning()};
-  /// Moment the disturbance hits, splitting the scoring windows.
-  SimTime disturbance_at{27 * kSecond};
   std::vector<double> kp_grid{0.05, 0.1, 0.2, 0.4, 0.8};
   std::vector<double> kd_grid{0.0, 0.13, 0.26, 0.52};
-  /// Weight of the post-disturbance oscillation in the composite score.
-  double disturbance_weight{2.0};
   /// Worker threads for the sweep (0 = shared pool, 1 = serial).
   std::size_t threads{0};
 };

@@ -114,12 +114,8 @@ struct SweepConfig {
   /// not otherwise synchronized.
   obs::MetricsRegistry* metrics{nullptr};
   /// Optional span sink: sweep.start / sweep.point / sweep.done emitted
-  /// from the calling thread as points land. With trace_experiments the
-  /// sink is also attached to every experiment, wrapped in an internal
-  /// obs::SynchronizedTraceSink (event order across concurrently running
-  /// points is then unspecified; per-point content is deterministic).
+  /// from the calling thread as points land. Experiments run untraced.
   obs::TraceSink* trace{nullptr};
-  bool trace_experiments{false};
   /// Progress hook, called on the calling thread as each point lands (in
   /// linear index order).
   std::function<void(const PointDesc&, std::size_t done, std::size_t total)>

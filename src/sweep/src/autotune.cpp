@@ -9,6 +9,15 @@
 #include "ff/util/ascii_plot.h"
 
 namespace ff::sweep {
+namespace {
+
+/// Moment the disturbance hits, splitting the scoring windows (Fig. 2
+/// injects its loss at 27 s).
+constexpr SimTime kDisturbanceAt = 27 * kSecond;
+/// Weight of the post-disturbance oscillation in the composite score.
+constexpr double kDisturbanceWeight = 2.0;
+
+}  // namespace
 
 AutoTuneResult auto_tune(const AutoTuneConfig& config) {
   if (config.kp_grid.empty() || config.kd_grid.empty()) {
@@ -49,12 +58,12 @@ AutoTuneResult auto_tune(const AutoTuneConfig& config) {
     GainScore g;
     g.kp = grid[i].first;
     g.kd = grid[i].second;
-    g.clean = control::analyze_response(po, 0, config.disturbance_at, fs);
-    g.disturbed = control::analyze_response(po, config.disturbance_at,
-                                            r.duration, fs);
+    g.clean = control::analyze_response(po, 0, kDisturbanceAt, fs);
+    g.disturbed =
+        control::analyze_response(po, kDisturbanceAt, r.duration, fs);
     g.mean_throughput = r.devices[0].mean_throughput();
     g.score = control::tuning_score(g.clean) +
-              config.disturbance_weight * g.disturbed.steady_oscillation;
+              kDisturbanceWeight * g.disturbed.steady_oscillation;
     out.all.push_back(g);
   }
 

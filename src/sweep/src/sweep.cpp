@@ -93,8 +93,7 @@ std::vector<PointDesc> enumerate_points(const SweepConfig& config,
 /// Applies the axis mutations and seed policy, runs the experiment and
 /// extracts the probes. Called from pool workers; everything it touches
 /// is either point-local or const shared config.
-SweepPoint run_point(const SweepConfig& config, PointDesc desc,
-                     obs::TraceSink* experiment_sink) {
+SweepPoint run_point(const SweepConfig& config, PointDesc desc) {
   core::Scenario scenario = config.base;
   for (std::size_t a = 0; a < config.axes.size(); ++a) {
     const AxisValue& value = config.axes[a].values[desc.axis_indices[a]];
@@ -104,9 +103,6 @@ SweepPoint run_point(const SweepConfig& config, PointDesc desc,
 
   core::Experiment experiment(
       scenario, config.controllers[desc.controller_index].factory);
-  if (experiment_sink != nullptr) {
-    experiment.set_trace_sink(experiment_sink);
-  }
 
   SweepPoint point;
   point.desc = std::move(desc);
@@ -183,16 +179,9 @@ SweepResult run(const SweepConfig& config) {
     }
   }
 
-  // Observability plumbing. Sweep-level events and registry updates
-  // happen on this thread only; experiment traces (opt-in) are emitted
-  // from workers through one synchronized wrapper.
-  std::optional<obs::SynchronizedTraceSink> synchronized;
-  obs::TraceSink* sink = nullptr;
-  if (config.trace != nullptr) {
-    synchronized.emplace(*config.trace);
-    sink = &*synchronized;
-  }
-  obs::TraceSink* experiment_sink = config.trace_experiments ? sink : nullptr;
+  // Observability plumbing: sweep-level events and registry updates
+  // happen on this thread only, so the sink needs no lock.
+  obs::TraceSink* const sink = config.trace;
 
   const obs::Labels labels{{"sweep", config.name}};
   obs::Counter* points_done = nullptr;
@@ -259,7 +248,7 @@ SweepResult run(const SweepConfig& config) {
     // Literal serial mode: no pool involved at all. The reference
     // ordering every parallel run must reproduce.
     for (PointDesc& d : descs) {
-      land(run_point(config, std::move(d), experiment_sink));
+      land(run_point(config, std::move(d)));
     }
   } else {
     std::optional<rt::ThreadPool> owned;
@@ -270,8 +259,8 @@ SweepResult run(const SweepConfig& config) {
     futures.reserve(total);
     for (PointDesc& d : descs) {
       futures.push_back(pool.submit(
-          [&config, desc = std::move(d), experiment_sink]() mutable {
-            return run_point(config, std::move(desc), experiment_sink);
+          [&config, desc = std::move(d)]() mutable {
+            return run_point(config, std::move(desc));
           }));
     }
     // Collect in linear order: output order, metrics and progress are

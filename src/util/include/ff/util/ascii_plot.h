@@ -16,12 +16,11 @@ struct PlotOptions {
   double y_min{0.0};
   double y_max{-1.0};       ///< < y_min means autoscale
   std::string title;
-  std::string y_label;
-  bool show_legend{true};
 };
 
 /// Renders one or more series on a shared axis; each series gets its own
-/// glyph. Series are resampled onto the column grid by bucket-mean.
+/// glyph, named in a legend line. Series are resampled onto the column grid
+/// by bucket-mean.
 [[nodiscard]] std::string plot_series(
     const std::vector<const TimeSeries*>& series,
                                       const PlotOptions& options);

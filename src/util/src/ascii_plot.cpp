@@ -109,13 +109,11 @@ std::string plot_series(const std::vector<const TimeSeries*>& series,
       ? options.width - 10 : 0, ' ')
      << std::fixed << std::setprecision(0) << sim_to_seconds(t_end) << "s\n";
 
-  if (options.show_legend) {
-    os << "  legend:";
-    for (std::size_t si = 0; si < series.size(); ++si) {
-      os << "  " << kGlyphs[si % sizeof(kGlyphs)] << "=" << series[si]->name();
-    }
-    os << "\n";
+  os << "  legend:";
+  for (std::size_t si = 0; si < series.size(); ++si) {
+    os << "  " << kGlyphs[si % sizeof(kGlyphs)] << "=" << series[si]->name();
   }
+  os << "\n";
   return os.str();
 }
 

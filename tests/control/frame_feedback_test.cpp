@@ -19,7 +19,7 @@ TEST(FrameFeedback, DefaultsMatchPaperTableIV) {
   EXPECT_DOUBLE_EQ(ctl.config().kd, 0.26);
   EXPECT_DOUBLE_EQ(ctl.config().ki, 0.0);
   EXPECT_DOUBLE_EQ(ctl.config().update_min_fraction, -0.5);
-  EXPECT_DOUBLE_EQ(ctl.config().update_max_fraction, 0.1);
+  EXPECT_DOUBLE_EQ(FrameFeedbackController::kUpdateMaxFraction, 0.1);
   EXPECT_EQ(ctl.measure_period(), kSecond);
   EXPECT_EQ(ctl.name(), "frame-feedback");
   EXPECT_FALSE(FrameFeedbackController().wants_probe());
@@ -87,7 +87,9 @@ TEST(FrameFeedback, DownwardClampEngagesWithHotGains) {
 TEST(FrameFeedback, ReactionToTimeoutsStrongerThanRecovery) {
   // The paper's asymmetric clamp: crashes are 5x faster than climbs.
   const FrameFeedbackConfig c;
-  EXPECT_DOUBLE_EQ(-c.update_min_fraction / c.update_max_fraction, 5.0);
+  EXPECT_DOUBLE_EQ(
+      -c.update_min_fraction / FrameFeedbackController::kUpdateMaxFraction,
+      5.0);
 }
 
 TEST(FrameFeedback, EquilibriumUnderTotalFailureIsTenthOfFs) {

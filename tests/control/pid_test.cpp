@@ -54,59 +54,6 @@ TEST(Pid, IntegralScalesWithDt) {
   EXPECT_DOUBLE_EQ(pid.step(1.0, 0.5), 0.5);
 }
 
-TEST(Pid, AntiWindupClampsIntegral) {
-  PidConfig c;
-  c.kp = 0.0;
-  c.ki = 1.0;
-  c.kd = 0.0;
-  c.integral_min = -2.0;
-  c.integral_max = 2.0;
-  PidController pid(c);
-  for (int i = 0; i < 100; ++i) (void)pid.step(10.0);
-  EXPECT_DOUBLE_EQ(pid.integral(), 2.0);
-  // Recovery is immediate, not delayed by wound-up state.
-  (void)pid.step(-4.0);
-  EXPECT_DOUBLE_EQ(pid.integral(), -2.0);
-}
-
-TEST(Pid, OutputClamped) {
-  PidConfig c;
-  c.kp = 1.0;
-  c.output_min = -1.0;
-  c.output_max = 1.0;
-  PidController pid(c);
-  EXPECT_DOUBLE_EQ(pid.step(100.0), 1.0);
-  EXPECT_DOUBLE_EQ(pid.step(-100.0), -1.0);
-}
-
-TEST(Pid, InvalidClampsThrow) {
-  PidConfig c;
-  c.output_min = 1.0;
-  c.output_max = -1.0;
-  EXPECT_THROW(PidController{c}, std::invalid_argument);
-  PidConfig c2;
-  c2.integral_min = 5.0;
-  c2.integral_max = -5.0;
-  EXPECT_THROW(PidController{c2}, std::invalid_argument);
-}
-
-TEST(Pid, DerivativeFilterSmoothsSpikes) {
-  PidConfig raw_cfg;
-  raw_cfg.kp = 0.0;
-  raw_cfg.kd = 1.0;
-  raw_cfg.derivative_filter_alpha = 1.0;
-  PidConfig filt_cfg = raw_cfg;
-  filt_cfg.derivative_filter_alpha = 0.2;
-
-  PidController raw(raw_cfg), filt(filt_cfg);
-  (void)raw.step(0.0);
-  (void)filt.step(0.0);
-  const double raw_spike = raw.step(10.0);
-  const double filt_spike = filt.step(10.0);
-  EXPECT_DOUBLE_EQ(raw_spike, 10.0);
-  EXPECT_DOUBLE_EQ(filt_spike, 2.0);
-}
-
 TEST(Pid, ResetClearsState) {
   PidConfig c;
   c.kp = 1.0;

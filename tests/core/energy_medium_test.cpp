@@ -96,7 +96,7 @@ TEST(ReservationIntegration, TiesFrameFeedbackWhenWorldMatchesModel) {
   // both approaches saturate.
   Scenario s = Scenario::ideal(30 * kSecond);
   s.seed = 17;
-  server::ReservationManager mgr({162.0, 0.9});
+  server::ReservationManager mgr({162.0});
   const auto res = run_experiment(s, [&mgr](std::size_t i) {
     return std::make_unique<control::ReservationController>(mgr, i + 1);
   });
@@ -112,7 +112,7 @@ TEST(ReservationIntegration, BlindToNetworkDegradation) {
   s.network = net::NetemSchedule::constant(dead);
   s.uplink_template.initial = dead;
   s.downlink_template.initial = dead;
-  server::ReservationManager mgr({162.0, 0.9});
+  server::ReservationManager mgr({162.0});
   const auto res = run_experiment(s, [&mgr](std::size_t i) {
     return std::make_unique<control::ReservationController>(mgr, i + 1);
   });

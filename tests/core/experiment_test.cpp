@@ -64,7 +64,7 @@ TEST(Experiment, SeriesAreRecordedEverySamplePeriod) {
 }
 
 TEST(Experiment, FirstSampleFollowsFirstControlTick) {
-  // Regression: sampling used to start at sample_period/2, before the
+  // Regression: sampling used to start half a sample period in, before the
   // first control tick at measure_period, so every series began with a
   // pre-control transient (Po_target stuck at its initial value).
   const auto r = run_experiment(
@@ -78,11 +78,10 @@ TEST(Experiment, FirstSampleFollowsFirstControlTick) {
     ASSERT_FALSE(s->empty()) << name;
     EXPECT_GT(s->points().front().time, first_control) << name;
   }
-  // And the offset keeps the intended mid-period phase: half a sample
-  // period past the control tick.
+  // And the offset keeps the intended mid-period phase: half of the 1 s
+  // sample period past the control tick.
   const TimeSeries* p = r.devices[0].series.find("P");
-  EXPECT_EQ(p->points().front().time,
-            first_control + small_scenario().sample_period / 2);
+  EXPECT_EQ(p->points().front().time, first_control + kSecond / 2);
 }
 
 TEST(Experiment, LocalOnlyNeverOffloads) {

@@ -66,7 +66,7 @@ TEST(QualityIntegration, DeviceQualityChangeShrinksPayload) {
   sim::Simulator sim(1);
   server::EdgeServer server(sim, {});
   NetworkedTransportConfig tc;
-  NetworkedOffloadTransport transport(sim, server, tc);
+  NetworkedOffloadTransport transport(sim, sim, server, tc);
   device::DeviceConfig dc;
   device::EdgeDevice dev(sim, transport, dc);
   const Bytes before = dev.frame_payload();

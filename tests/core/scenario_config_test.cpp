@@ -70,6 +70,57 @@ TEST(ScenarioConfig, DeviceCountBelowOneThrows) {
   }
 }
 
+TEST(ScenarioConfig, IntegerKeysOutsideTheirRangeThrow) {
+  // Each value once wrapped in a narrowing cast, was clamped by std::max
+  // or, for the queue limit without a policy, was never read: the run
+  // silently used a different value.
+  const std::vector<std::pair<const char*, const char*>> cases{
+      {"device.width", "4294967297"},
+      {"device.height", "-4294967295"},
+      {"device.quality", "4294967346"},
+      {"medium_groups", "-3"},
+      {"medium_groups", "0"},
+      {"partitions", "-1"},
+      {"partition_threads", "-2"},
+      {"partition_threads", "4294967296"},
+      {"fleet.servers", "0"},
+      {"fleet.servers", "-4"},
+      {"device.frame_limit", "-1"},
+      {"fleet.admission.queue_limit", "-5"}};
+  for (const auto& [key, value] : cases) {
+    try {
+      (void)scenario_from_config(make_config({{key, value}}));
+      FAIL() << key << "=" << value << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string(key) + "=" + value + " must be in ["),
+                std::string::npos)
+          << what;
+    }
+  }
+  EXPECT_THROW(
+      (void)scenario_from_config(
+          make_config({{"fleet.admission.policy", "queue-depth"},
+                       {"fleet.admission.queue_limit", "0"}})),
+      std::invalid_argument);
+}
+
+TEST(ScenarioConfig, IntegerKeysAtTheirBoundsAreRead) {
+  const Scenario s = scenario_from_config(
+      make_config({{"partitions", "0"},
+                   {"partition_threads", "0"},
+                   {"medium_groups", "1"},
+                   {"device.frame_limit", "0"},
+                   {"device.width", "2147483647"},
+                   {"fleet.servers", "1"}}));
+  EXPECT_EQ(s.partitions, 0u);
+  EXPECT_EQ(s.partition_threads, 0u);
+  EXPECT_EQ(s.uplink_medium_groups, 1u);
+  EXPECT_EQ(s.devices[0].frame_limit, 0u);
+  EXPECT_EQ(s.devices[0].frame.width, 2147483647);
+  EXPECT_EQ(s.fleet.servers.size(), 1u);
+}
+
 TEST(ScenarioConfig, DeviceOverrides) {
   const Scenario s = scenario_from_config(make_config(
       {{"device.profile", "pi3b"},

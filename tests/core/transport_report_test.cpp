@@ -18,7 +18,7 @@ struct Rig {
   std::vector<std::uint64_t> failures;
 
   explicit Rig(NetworkedTransportConfig tc = {})
-      : transport(sim, server, std::move(tc)) {
+      : transport(sim, sim, server, std::move(tc)) {
     transport.set_on_response(
         [this](std::uint64_t id, device::OffloadReply reply) {
           responses.emplace_back(id, reply);
@@ -55,7 +55,7 @@ TEST(NetworkedTransport, RejectionFlagTravelsBack) {
   server::ServerConfig sc;
   sc.batch_limit = 1;
   server::EdgeServer tiny(rig.sim, sc);
-  NetworkedOffloadTransport transport(rig.sim, tiny, {});
+  NetworkedOffloadTransport transport(rig.sim, rig.sim, tiny, {});
   std::vector<device::OffloadReply> replies;
   transport.set_on_response([&](std::uint64_t, device::OffloadReply reply) {
     replies.push_back(reply);
@@ -75,7 +75,6 @@ TEST(NetworkedTransport, RejectionFlagTravelsBack) {
 TEST(NetworkedTransport, DeadLinkReportsFailure) {
   NetworkedTransportConfig tc;
   tc.uplink.initial.loss_probability = 1.0;
-  tc.transport.max_retries = 2;
   Rig rig(std::move(tc));
   rig.transport.offload(3, Bytes{5000});
   rig.sim.run_until(30 * kSecond);

@@ -10,9 +10,8 @@ namespace {
 TEST(FrameSource, EmitsAtConfiguredRate) {
   sim::Simulator sim;
   int frames = 0;
-  FrameSource src(sim, {Rate{30.0}, 0, 0.0},
-                  [&](std::uint64_t, SimTime) { ++frames; },
-                  sim.make_rng("cam"));
+  FrameSource src(sim, {Rate{30.0}, 0},
+                  [&](std::uint64_t, SimTime) { ++frames; });
   src.start();
   sim.run_until(10 * kSecond);
   EXPECT_NEAR(frames, 300, 1);
@@ -21,9 +20,8 @@ TEST(FrameSource, EmitsAtConfiguredRate) {
 TEST(FrameSource, FrameIndicesAreSequential) {
   sim::Simulator sim;
   std::vector<std::uint64_t> indices;
-  FrameSource src(sim, {Rate{30.0}, 0, 0.0},
-                  [&](std::uint64_t i, SimTime) { indices.push_back(i); },
-                  sim.make_rng("cam"));
+  FrameSource src(sim, {Rate{30.0}, 0},
+                  [&](std::uint64_t i, SimTime) { indices.push_back(i); });
   src.start();
   sim.run_until(kSecond);
   ASSERT_GE(indices.size(), 29u);
@@ -35,9 +33,8 @@ TEST(FrameSource, FrameIndicesAreSequential) {
 TEST(FrameSource, FrameLimitStops) {
   sim::Simulator sim;
   int frames = 0;
-  FrameSource src(sim, {Rate{30.0}, 100, 0.0},
-                  [&](std::uint64_t, SimTime) { ++frames; },
-                  sim.make_rng("cam"));
+  FrameSource src(sim, {Rate{30.0}, 100},
+                  [&](std::uint64_t, SimTime) { ++frames; });
   src.start();
   sim.run_until(60 * kSecond);
   EXPECT_EQ(frames, 100);
@@ -48,9 +45,8 @@ TEST(FrameSource, FrameLimitStops) {
 TEST(FrameSource, StopHaltsEmission) {
   sim::Simulator sim;
   int frames = 0;
-  FrameSource src(sim, {Rate{30.0}, 0, 0.0},
-                  [&](std::uint64_t, SimTime) { ++frames; },
-                  sim.make_rng("cam"));
+  FrameSource src(sim, {Rate{30.0}, 0},
+                  [&](std::uint64_t, SimTime) { ++frames; });
   src.start();
   (void)sim.schedule_at(kSecond, [&] { src.stop(); });
   sim.run_until(10 * kSecond);
@@ -60,49 +56,33 @@ TEST(FrameSource, StopHaltsEmission) {
 TEST(FrameSource, StartIsIdempotent) {
   sim::Simulator sim;
   int frames = 0;
-  FrameSource src(sim, {Rate{10.0}, 0, 0.0},
-                  [&](std::uint64_t, SimTime) { ++frames; },
-                  sim.make_rng("cam"));
+  FrameSource src(sim, {Rate{10.0}, 0},
+                  [&](std::uint64_t, SimTime) { ++frames; });
   src.start();
   src.start();
   sim.run_until(kSecond + 1);
   EXPECT_EQ(frames, 10);
 }
 
-TEST(FrameSource, JitterPreservesMeanRate) {
-  sim::Simulator sim(5);
-  int frames = 0;
-  FrameSource src(sim, {Rate{30.0}, 0, 0.3},
-                  [&](std::uint64_t, SimTime) { ++frames; },
-                  sim.make_rng("cam"));
-  src.start();
-  sim.run_until(60 * kSecond);
-  EXPECT_NEAR(frames, 1800, 40);
-}
-
-TEST(FrameSource, JitterVariesGaps) {
-  sim::Simulator sim(6);
+TEST(FrameSource, GapsAreOnePeriod) {
+  sim::Simulator sim;
   std::vector<SimTime> times;
-  FrameSource src(sim, {Rate{30.0}, 0, 0.3},
-                  [&](std::uint64_t, SimTime t) { times.push_back(t); },
-                  sim.make_rng("cam"));
+  FrameSource src(sim, {Rate{30.0}, 0},
+                  [&](std::uint64_t, SimTime t) { times.push_back(t); });
   src.start();
   sim.run_until(5 * kSecond);
   ASSERT_GT(times.size(), 10u);
-  bool varies = false;
-  const SimTime first_gap = times[1] - times[0];
-  for (std::size_t i = 2; i < times.size(); ++i) {
-    if (times[i] - times[i - 1] != first_gap) varies = true;
+  EXPECT_EQ(times[0], Rate{30.0}.period());
+  for (std::size_t i = 1; i < times.size(); ++i) {
+    EXPECT_EQ(times[i] - times[i - 1], Rate{30.0}.period());
   }
-  EXPECT_TRUE(varies);
 }
 
 TEST(FrameSource, RestartAfterStopContinuesIndices) {
   sim::Simulator sim;
   std::vector<std::uint64_t> indices;
-  FrameSource src(sim, {Rate{10.0}, 0, 0.0},
-                  [&](std::uint64_t i, SimTime) { indices.push_back(i); },
-                  sim.make_rng("cam"));
+  FrameSource src(sim, {Rate{10.0}, 0},
+                  [&](std::uint64_t i, SimTime) { indices.push_back(i); });
   src.start();
   (void)sim.schedule_at(kSecond, [&] { src.stop(); });
   (void)sim.schedule_at(2 * kSecond, [&] { src.start(); });

@@ -18,7 +18,7 @@ models::LocalLatencyModel pi4_model(double jitter = 0.0) {
 TEST(LocalEngine, CompletesSubmittedFrame) {
   sim::Simulator sim;
   std::vector<std::uint64_t> done;
-  LocalEngine eng(sim, pi4_model(), {2},
+  LocalEngine eng(sim, pi4_model(),
                   [&](std::uint64_t id, SimTime) { done.push_back(id); });
   EXPECT_TRUE(eng.submit(7, 0));
   sim.run();
@@ -30,7 +30,7 @@ TEST(LocalEngine, CompletesSubmittedFrame) {
 TEST(LocalEngine, ServiceTimeMatchesTableIIRate) {
   sim::Simulator sim;
   SimTime finished = 0;
-  LocalEngine eng(sim, pi4_model(), {2},
+  LocalEngine eng(sim, pi4_model(),
                   [&](std::uint64_t, SimTime) { finished = sim.now(); });
   (void)eng.submit(1, 0);
   sim.run();
@@ -41,7 +41,7 @@ TEST(LocalEngine, ServiceTimeMatchesTableIIRate) {
 TEST(LocalEngine, QueueCapacityRejectsOverflow) {
   sim::Simulator sim;
   int done = 0;
-  LocalEngine eng(sim, pi4_model(), {2},
+  LocalEngine eng(sim, pi4_model(),
                   [&](std::uint64_t, SimTime) { ++done; });
   EXPECT_TRUE(eng.submit(1, 0));   // executing
   EXPECT_TRUE(eng.submit(2, 0));   // queued
@@ -54,7 +54,7 @@ TEST(LocalEngine, QueueCapacityRejectsOverflow) {
 TEST(LocalEngine, SustainedRateEqualsPl) {
   sim::Simulator sim(2);
   int done = 0;
-  LocalEngine eng(sim, pi4_model(0.08), {2},
+  LocalEngine eng(sim, pi4_model(0.08),
                   [&](std::uint64_t, SimTime) { ++done; });
   // Offer 30 fps; engine can only do 13.
   std::uint64_t id = 0;
@@ -69,18 +69,21 @@ TEST(LocalEngine, SustainedRateEqualsPl) {
 TEST(LocalEngine, FifoCompletionOrder) {
   sim::Simulator sim;
   std::vector<std::uint64_t> done;
-  LocalEngine eng(sim, pi4_model(), {3},
+  LocalEngine eng(sim, pi4_model(),
                   [&](std::uint64_t id, SimTime) { done.push_back(id); });
   (void)eng.submit(1, 0);
   (void)eng.submit(2, 0);
-  (void)eng.submit(3, 0);
+  // At 100 ms frame 1 (~77 ms) is done and frame 2 executes: a slot is
+  // free behind it.
+  (void)sim.schedule_at(100 * kMillisecond,
+                        [&] { EXPECT_TRUE(eng.submit(3, sim.now())); });
   sim.run();
   EXPECT_EQ(done, (std::vector<std::uint64_t>{1, 2, 3}));
 }
 
 TEST(LocalEngine, BusyFractionApproachesOneUnderSaturation) {
   sim::Simulator sim(3);
-  LocalEngine eng(sim, pi4_model(0.05), {2}, [](std::uint64_t, SimTime) {});
+  LocalEngine eng(sim, pi4_model(0.05), [](std::uint64_t, SimTime) {});
   std::uint64_t id = 0;
   sim::PeriodicTimer source(
       sim, [&](std::uint64_t) { (void)eng.submit(id++, sim.now()); });
@@ -91,7 +94,7 @@ TEST(LocalEngine, BusyFractionApproachesOneUnderSaturation) {
 
 TEST(LocalEngine, BusyFractionLowUnderLightLoad) {
   sim::Simulator sim(4);
-  LocalEngine eng(sim, pi4_model(0.05), {2}, [](std::uint64_t, SimTime) {});
+  LocalEngine eng(sim, pi4_model(0.05), [](std::uint64_t, SimTime) {});
   std::uint64_t id = 0;
   sim::PeriodicTimer source(
       sim, [&](std::uint64_t) { (void)eng.submit(id++, sim.now()); });
@@ -102,7 +105,7 @@ TEST(LocalEngine, BusyFractionLowUnderLightLoad) {
 
 TEST(LocalEngine, QueueDepthIncludesExecuting) {
   sim::Simulator sim;
-  LocalEngine eng(sim, pi4_model(), {3}, [](std::uint64_t, SimTime) {});
+  LocalEngine eng(sim, pi4_model(), [](std::uint64_t, SimTime) {});
   EXPECT_EQ(eng.queue_depth(), 0u);
   (void)eng.submit(1, 0);
   EXPECT_EQ(eng.queue_depth(), 1u);
@@ -113,7 +116,7 @@ TEST(LocalEngine, QueueDepthIncludesExecuting) {
 
 TEST(LocalEngine, ServiceRateReportsModelRate) {
   sim::Simulator sim;
-  LocalEngine eng(sim, pi4_model(), {2}, [](std::uint64_t, SimTime) {});
+  LocalEngine eng(sim, pi4_model(), [](std::uint64_t, SimTime) {});
   EXPECT_NEAR(eng.service_rate(), 13.0, 0.01);
 }
 

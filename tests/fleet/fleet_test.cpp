@@ -228,7 +228,7 @@ TEST(Fleet, SweepAxesApply) {
 }
 
 /// Placement policy unit behavior: least-loaded fills the emptiest
-/// server, static honors its map, reservation fails over around the ring.
+/// server and fails over around the ring, static honors its map.
 TEST(Fleet, PlacementPolicies) {
   const device::DeviceConfig dev;
   std::vector<std::size_t> counts{2, 0, 1};
@@ -246,13 +246,6 @@ TEST(Fleet, PlacementPolicies) {
   EXPECT_EQ(fixed.place(1, dev, view), 1u);
   EXPECT_EQ(fixed.place(5, dev, view), 2u);  // past the map: round-robin
   EXPECT_EQ(fixed.on_rejection(0, 2, 3, 1), 2u);  // static never re-homes
-
-  ReservationPlacement reservation;
-  EXPECT_EQ(reservation.place(0, dev, view), 0u);
-  // Device 0's reservation makes server 0 the fullest; the next device
-  // lands elsewhere.
-  EXPECT_NE(reservation.place(1, dev, view), 0u);
-  EXPECT_EQ(reservation.on_rejection(0, 1, 3, 1), 2u);
 }
 
 }  // namespace

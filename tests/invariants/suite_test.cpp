@@ -62,8 +62,7 @@ TEST(Invariants, ConservationCheckFailsWhenTotalsAreTampered) {
   core::ExperimentResult result = core::run_experiment(
       scenario.scenario, core::make_controller_factory<
                              control::FrameFeedbackController>());
-  InvariantThresholds th;
-  auto checks = evaluate_invariants(scenario, result, th);
+  auto checks = evaluate_invariants(scenario, result);
   const auto find = [](const std::vector<InvariantCheck>& cs,
                        const std::string& name) -> const InvariantCheck& {
     for (const auto& c : cs) {
@@ -77,7 +76,7 @@ TEST(Invariants, ConservationCheckFailsWhenTotalsAreTampered) {
   // vanish from the accounting. Reverting the fix reproduces this.
   result.devices[0].totals.in_flight_at_end = 0;
   result.devices[0].totals.frames_captured += 3;
-  checks = evaluate_invariants(scenario, result, th);
+  checks = evaluate_invariants(scenario, result);
   const auto& conservation = find(checks, "frame_conservation");
   EXPECT_FALSE(conservation.passed);
   EXPECT_GE(conservation.observed, 3.0);
@@ -92,27 +91,26 @@ TEST(Invariants, PoFlappingCountsReversalsAboveTheDeadband) {
   dev.name = "synthetic";
   TimeSeries& po = dev.series.series("Po_target");
   // 10, 20, 10, 20, ... : every move is a full reversal.
-  for (int i = 0; i < 12; ++i) {
+  for (int i = 0; i < 16; ++i) {
     po.record(i * kSecond, i % 2 == 0 ? 10.0 : 20.0);
   }
   result.devices.push_back(std::move(dev));
 
-  InvariantThresholds th;
-  th.po_flaps_per_minute = 5.0;
-  auto checks = evaluate_invariants(d, result, th);
+  auto checks = evaluate_invariants(d, result);
   for (const auto& c : checks) {
     if (c.name != "po_flapping") continue;
     EXPECT_FALSE(c.passed);
-    EXPECT_DOUBLE_EQ(c.observed, 10.0);  // 11 moves, 10 reversals
+    EXPECT_DOUBLE_EQ(c.observed, 14.0);  // 15 moves, 14 reversals
+    EXPECT_DOUBLE_EQ(c.bound, 12.0);
   }
 
   // Same shape inside the deadband: not flapping, just dither.
   TimeSeries& po2 = result.devices[0].series.series("Po_target");
   po2.clear();
-  for (int i = 0; i < 12; ++i) {
+  for (int i = 0; i < 16; ++i) {
     po2.record(i * kSecond, i % 2 == 0 ? 10.0 : 10.4);
   }
-  checks = evaluate_invariants(d, result, th);
+  checks = evaluate_invariants(d, result);
   for (const auto& c : checks) {
     if (c.name != "po_flapping") continue;
     EXPECT_TRUE(c.passed);
@@ -135,7 +133,7 @@ TEST(Invariants, ConvergenceCheckFailsWhenTimeoutsPersist) {
   }
   result.devices.push_back(std::move(dev));
 
-  const auto checks = evaluate_invariants(d, result, InvariantThresholds{});
+  const auto checks = evaluate_invariants(d, result);
   bool found = false;
   for (const auto& c : checks) {
     if (c.name != "t_convergence") continue;

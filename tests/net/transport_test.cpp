@@ -22,9 +22,8 @@ struct Rig {
   std::vector<std::pair<std::uint64_t, Bytes>> delivered;
   std::map<std::uint64_t, bool> send_results;
 
-  explicit Rig(LinkConfig fwd = clean_link(), LinkConfig rev = clean_link(),
-               TransportConfig t = {})
-      : path(sim, fwd, rev, t) {
+  explicit Rig(LinkConfig fwd = clean_link(), LinkConfig rev = clean_link())
+      : path(sim, fwd, rev) {
     path.uplink().set_on_message([this](std::uint64_t id, Bytes b) {
       delivered.emplace_back(id, b);
     });
@@ -55,8 +54,7 @@ TEST(ReliableChannel, MultiFragmentReassembly) {
 }
 
 TEST(ReliableChannel, PayloadSmallerThanMtuIsOneFragment) {
-  TransportConfig t;
-  Rig rig(clean_link(), clean_link(), t);
+  Rig rig;
   rig.path.uplink().send(3, Bytes{1});
   rig.sim.run_until(kSecond);
   EXPECT_EQ(rig.path.uplink().stats().fragments_sent, 1u);
@@ -78,9 +76,7 @@ TEST(ReliableChannel, RetransmitsThroughLoss) {
 TEST(ReliableChannel, TotalLossExhaustsRetriesAndFails) {
   LinkConfig dead = clean_link();
   dead.initial.loss_probability = 1.0;
-  TransportConfig t;
-  t.max_retries = 3;
-  Rig rig(dead, dead, t);
+  Rig rig(dead, dead);
   rig.path.uplink().send(9, Bytes{100});
   rig.sim.run_until(60 * kSecond);
   EXPECT_TRUE(rig.delivered.empty());
@@ -107,18 +103,18 @@ TEST(ReliableChannel, CancelStopsRetransmission) {
 TEST(ReliableChannel, ExponentialBackoffSpacesRetries) {
   LinkConfig dead = clean_link();
   dead.initial.loss_probability = 1.0;
-  TransportConfig t;
-  t.rto = 10 * kMillisecond;
-  t.max_retries = 3;
-  Rig rig(dead, dead, t);
+  Rig rig(dead, dead);
   rig.path.uplink().send(5, Bytes{100});
-  // Attempts at ~0, 10, 30, 70 ms; message fails at ~150 ms
-  // (10+20+40+80 RTO chain). It must still be alive at 50 ms:
-  rig.sim.run_until(50 * kMillisecond);
-  EXPECT_TRUE(rig.path.uplink().in_flight(5));
+  // The 100 ms RTO doubles per attempt up to 3.2 s: attempts at 0, 0.1,
+  // 0.3, 0.7, 1.5, 3.1, 6.3, 9.5 and 12.7 s, and the ninth attempt's RTO
+  // fails the message at 15.9 s.
   rig.sim.run_until(kSecond);
+  EXPECT_EQ(rig.path.uplink().stats().fragments_sent, 4u);
+  rig.sim.run_until(15'800 * kMillisecond);
+  EXPECT_TRUE(rig.path.uplink().in_flight(5));
+  rig.sim.run_until(16 * kSecond);
   EXPECT_FALSE(rig.path.uplink().in_flight(5));
-  EXPECT_EQ(rig.path.uplink().stats().fragments_sent, 4u);  // 1 + 3 retries
+  EXPECT_EQ(rig.path.uplink().stats().fragments_sent, 9u);  // 1 + 8 retries
 }
 
 TEST(ReliableChannel, DuplicateFragmentsAreCountedNotRedelivered) {
@@ -127,11 +123,9 @@ TEST(ReliableChannel, DuplicateFragmentsAreCountedNotRedelivered) {
   LinkConfig fwd = clean_link();
   LinkConfig rev = clean_link();
   rev.initial.loss_probability = 1.0;
-  TransportConfig t;
-  t.max_retries = 2;
-  Rig rig(fwd, rev, t);
+  Rig rig(fwd, rev);
   rig.path.uplink().send(6, Bytes{100});
-  rig.sim.run_until(10 * kSecond);
+  rig.sim.run_until(20 * kSecond);
   EXPECT_EQ(rig.delivered.size(), 1u);
   EXPECT_GT(rig.path.uplink().stats().duplicate_fragments, 0u);
   // Sender never saw an ack -> reported failed even though delivered.
@@ -186,14 +180,12 @@ TEST(ReliableChannel, BandwidthBoundsThroughput) {
 }
 
 TEST(ReliableChannel, PartialsExpireAfterReassemblyTimeout) {
-  // Forward link drops 60%: fragments trickle in; with max_retries=0 many
-  // messages stay partial at the receiver and must be expired.
+  // Forward link drops 60%: fragments trickle in; a fragment loses all
+  // nine attempts about 1 % of the time, so some messages stay partial at
+  // the receiver and must be expired.
   LinkConfig fwd = clean_link();
   fwd.initial.loss_probability = 0.6;
-  TransportConfig t;
-  t.max_retries = 0;
-  t.reassembly_timeout = kSecond;
-  Rig rig(fwd, clean_link(), t);
+  Rig rig(fwd, clean_link());
   for (std::uint64_t i = 0; i < 50; ++i) {
     rig.path.uplink().send(i, Bytes{10000});
   }

@@ -135,16 +135,15 @@ TEST(EdgeServer, RejectedOutcomeHasZeroBatch) {
 TEST(EdgeServer, HardQueueLimitRejectsOnArrival) {
   sim::Simulator sim;
   ServerConfig cfg;
-  cfg.queue_hard_limit = 3;
   cfg.reject_overflow = false;
   EdgeServer server(sim, cfg);
   Collector c;
   server.submit(req(0), c.fn());  // in service
-  for (int i = 1; i <= 5; ++i) server.submit(req(i), c.fn());
-  // 3 queued, 2 rejected immediately.
+  for (int i = 1; i <= 1026; ++i) server.submit(req(i), c.fn());
+  // 1024 queued (the memory guard's limit), 2 rejected immediately.
   EXPECT_EQ(c.rejected(), 2);
   sim.run();
-  EXPECT_EQ(c.completed(), 4);
+  EXPECT_EQ(c.completed(), 1025);
 }
 
 TEST(EdgeServer, MultiModelRoundRobinAvoidsStarvation) {

@@ -53,17 +53,6 @@ TEST(LoadGenerator, GeneratesAtScheduledRate) {
   EXPECT_NEAR(static_cast<double>(gen.requests_sent()), 2000.0, 150.0);
 }
 
-TEST(LoadGenerator, DeterministicModeExactRate) {
-  sim::Simulator sim(4);
-  EdgeServer server(sim, {});
-  LoadGeneratorConfig cfg;
-  cfg.poisson = false;
-  LoadGenerator gen(sim, server, LoadSchedule::constant(Rate{50}), cfg);
-  gen.start();
-  sim.run_until(10 * kSecond);
-  EXPECT_NEAR(static_cast<double>(gen.requests_sent()), 500.0, 2.0);
-}
-
 TEST(LoadGenerator, ZeroPhaseGeneratesNothing) {
   sim::Simulator sim(5);
   EdgeServer server(sim, {});
@@ -111,14 +100,13 @@ TEST(LoadGenerator, TracksCompletionsAndRejections) {
 TEST(LoadGenerator, StartIsIdempotent) {
   sim::Simulator sim(8);
   EdgeServer server(sim, {});
-  LoadGeneratorConfig cfg;
-  cfg.poisson = false;
-  LoadGenerator gen(sim, server, LoadSchedule::constant(Rate{10}), cfg);
+  LoadGenerator gen(sim, server, LoadSchedule::constant(Rate{10}), {});
   gen.start();
   gen.start();
   gen.start();
   sim.run_until(10 * kSecond);
-  EXPECT_NEAR(static_cast<double>(gen.requests_sent()), 100.0, 2.0);
+  // One Poisson stream: 100 expected, sd 10. Three would send ~300.
+  EXPECT_NEAR(static_cast<double>(gen.requests_sent()), 100.0, 40.0);
 }
 
 TEST(LoadGenerator, CurrentRateFollowsSchedule) {

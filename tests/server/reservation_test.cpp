@@ -7,19 +7,22 @@
 namespace ff::server {
 namespace {
 
+/// A belief whose grantable 90 % (the manager's safety factor) is `fps`.
+ReservationConfig grantable(double fps) { return {fps / 0.9}; }
+
 TEST(Reservation, SingleClientGetsDemandUpToCapacity) {
-  ReservationManager mgr({100.0, 1.0});
+  ReservationManager mgr(grantable(100.0));
   EXPECT_DOUBLE_EQ(mgr.request(1, 30.0), 30.0);
   EXPECT_DOUBLE_EQ(mgr.request(1, 300.0), 100.0);
 }
 
 TEST(Reservation, SafetyFactorReducesGrantable) {
-  ReservationManager mgr({100.0, 0.9});
+  ReservationManager mgr({100.0});
   EXPECT_DOUBLE_EQ(mgr.request(1, 300.0), 90.0);
 }
 
 TEST(Reservation, EqualSplitWhenOversubscribed) {
-  ReservationManager mgr({90.0, 1.0});
+  ReservationManager mgr(grantable(90.0));
   (void)mgr.request(1, 100.0);
   (void)mgr.request(2, 100.0);
   (void)mgr.request(3, 100.0);
@@ -30,7 +33,7 @@ TEST(Reservation, EqualSplitWhenOversubscribed) {
 }
 
 TEST(Reservation, WaterFillingFavorsSmallDemands) {
-  ReservationManager mgr({90.0, 1.0});
+  ReservationManager mgr(grantable(90.0));
   (void)mgr.request(1, 10.0);   // small demand fully satisfied
   (void)mgr.request(2, 100.0);  // big demands split the rest
   (void)mgr.request(3, 100.0);
@@ -40,7 +43,7 @@ TEST(Reservation, WaterFillingFavorsSmallDemands) {
 }
 
 TEST(Reservation, ReleaseRedistributes) {
-  ReservationManager mgr({90.0, 1.0});
+  ReservationManager mgr(grantable(90.0));
   (void)mgr.request(1, 100.0);
   (void)mgr.request(2, 100.0);
   EXPECT_DOUBLE_EQ(mgr.granted(1), 45.0);
@@ -51,17 +54,17 @@ TEST(Reservation, ReleaseRedistributes) {
 }
 
 TEST(Reservation, UnknownClientHasZeroGrant) {
-  ReservationManager mgr({100.0, 1.0});
+  ReservationManager mgr(grantable(100.0));
   EXPECT_DOUBLE_EQ(mgr.granted(42), 0.0);
 }
 
 TEST(Reservation, NegativeDemandClampedToZero) {
-  ReservationManager mgr({100.0, 1.0});
+  ReservationManager mgr(grantable(100.0));
   EXPECT_DOUBLE_EQ(mgr.request(1, -5.0), 0.0);
 }
 
 TEST(Reservation, TotalNeverExceedsCapacity) {
-  ReservationManager mgr({100.0, 0.9});
+  ReservationManager mgr({100.0});
   for (std::uint64_t i = 0; i < 20; ++i) {
     (void)mgr.request(i, 30.0);
   }
@@ -69,7 +72,7 @@ TEST(Reservation, TotalNeverExceedsCapacity) {
 }
 
 TEST(ReservationController, GrantsBecomeOffloadRate) {
-  ReservationManager mgr({45.0, 1.0});
+  ReservationManager mgr(grantable(45.0));
   control::ReservationController a(mgr, 1);
   control::ReservationController b(mgr, 2);
   control::ControllerInput in;
@@ -82,7 +85,7 @@ TEST(ReservationController, GrantsBecomeOffloadRate) {
 }
 
 TEST(ReservationController, IgnoresTimeouts) {
-  ReservationManager mgr({200.0, 1.0});
+  ReservationManager mgr(grantable(200.0));
   control::ReservationController ctl(mgr, 1);
   control::ControllerInput in;
   in.source_fps = 30.0;
@@ -91,7 +94,7 @@ TEST(ReservationController, IgnoresTimeouts) {
 }
 
 TEST(ReservationController, DestructionReleasesShare) {
-  ReservationManager mgr({60.0, 1.0});
+  ReservationManager mgr(grantable(60.0));
   control::ControllerInput in;
   in.source_fps = 30.0;
   control::ReservationController a(mgr, 1);
@@ -106,7 +109,7 @@ TEST(ReservationController, DestructionReleasesShare) {
 }
 
 TEST(ReservationController, Name) {
-  ReservationManager mgr({100.0, 1.0});
+  ReservationManager mgr(grantable(100.0));
   control::ReservationController ctl(mgr, 1);
   EXPECT_EQ(ctl.name(), "reservation");
   EXPECT_FALSE(ctl.wants_probe());

@@ -207,7 +207,7 @@ TEST(SweepObs, MetricsAndProgressArriveInOrder) {
   (void)result;
 }
 
-TEST(SweepObs, TraceSinkSeesLifecycleAndOptionallyExperiments) {
+TEST(SweepObs, TraceSinkSeesLifecycle) {
   SweepConfig cfg = small_config();
   cfg.threads = 2;
   obs::CollectingTraceSink sink;
@@ -217,11 +217,6 @@ TEST(SweepObs, TraceSinkSeesLifecycleAndOptionallyExperiments) {
   EXPECT_EQ(sink.count(obs::ev::kSweepPoint), 8u);
   EXPECT_EQ(sink.count(obs::ev::kSweepDone), 1u);
   EXPECT_EQ(sink.count(obs::ev::kFrameCaptured), 0u);
-
-  sink.clear();
-  cfg.trace_experiments = true;
-  (void)run(cfg);
-  EXPECT_GT(sink.count(obs::ev::kFrameCaptured), 0u);
 }
 
 TEST(SweepRun, NoAxesMeansControllersTimesReplicates) {
